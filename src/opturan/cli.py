@@ -187,6 +187,9 @@ def _rational_text(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_c_table(args) -> int:
+    if args.max_k < 3:
+        print(f"c-table: --max-k must be >= 3, got {args.max_k}", file=sys.stderr)
+        return 2
     ks = list(range(3, args.max_k + 1))
     values = [exactmath.cycle_density(k) for k in ks]
     if args.format == "json":

@@ -28,6 +28,7 @@ from .graph_core import (
     canonical_chords,
     count_paths,
     cycle_histogram,
+    cycle_pattern,
     enumerate_mops,
     fan,
     fan_path_count,
@@ -125,11 +126,9 @@ class Pattern:
 
     def pattern_graph(self) -> PatternGraph:
         if self.kind == "cycle":
-            return PatternGraph(Graph(self.size, [(i, (i + 1) % self.size)
-                                                  for i in range(self.size)]))
+            return cycle_pattern(self.size)
         if self.kind == "path":
-            return PatternGraph(Graph(self.size + 1, [(i, i + 1)
-                                                      for i in range(self.size)]))
+            return path_pattern(self.size)
         return PatternGraph(Graph(self.n, self.edges))
 
 
@@ -423,14 +422,10 @@ def _suite_catalan_identity(params, jobs):
     return cases
 
 
-def _cycle_range(k: int):
-    return {3: 3, 4: 4, 5: 5, 6: 6}[k]
-
-
 def _suite_cycle_closed_forms(params, jobs):
     cases = []
     for n in range(3, params["max_n"] + 1):
-        ks = [k for k in (3, 4, 5, 6) if n >= _cycle_range(k)]
+        ks = [k for k in (3, 4, 5, 6) if n >= k]
         patterns = [Pattern.cycle(k) for k in ks]
         results = brute_force_many(n, patterns, dedup=True, jobs=jobs)
         for k, res in zip(ks, results):
@@ -752,6 +747,13 @@ def verify_suite(name: str, *, jobs: int = 1, **overrides) -> VerificationReport
     for key, value in overrides.items():
         if key not in defaults:
             raise ValueError(f"suite {name!r} takes no parameter {key!r}")
+        default = defaults[key]
+        kind = (tuple, list) if isinstance(default, tuple) else type(default)
+        if not isinstance(value, kind):
+            raise ValueError(f"suite {name!r} parameter {key!r} wants "
+                             f"{type(default).__name__}, got {value!r}")
         params[key] = value
     cases = func(params, jobs)
+    if not cases:
+        raise ValueError(f"suite {name!r} runs no cases with {params}")
     return VerificationReport(suite=name, params=params, cases=cases)

@@ -6,11 +6,14 @@ exactly n-3.  Every outerplanar graph extends to one of these, and
 subgraph counts only grow under edge addition, so all maximization runs
 range over polygon triangulations.
 
-Counting is deliberately dumb and trustworthy: backtracking enumeration
-with canonical keys (cycles keyed by their smallest vertex and its smaller
-cycle-neighbour, paths by their lesser endpoint), plus a generic injective
-embedding counter divided by the pattern's automorphism count.  The point
-of this module is to be an oracle, not to be fast.
+Counting is deliberately dumb and trustworthy.  One iterative walk over
+simple paths serves all path and cycle counters: a path is counted from
+its lesser endpoint, a fixed-endpoint path by its endpoint and length, and
+a cycle from its smallest vertex as a path back to that vertex's
+neighbour, once in each direction and then halved.  Independent of that
+walk, a generic injective embedding counter divides by the pattern's
+automorphism count.  The point of this module is to be an oracle, not to
+be fast.
 """
 
 from __future__ import annotations
@@ -315,41 +318,57 @@ def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
 # Cycle and path counting
 # ---------------------------------------------------------------------------
 
+def _walk(adj, s: int, top: int, floor: int, slot, counts) -> None:
+    """Walk every simple path that starts at s, has at most `top` edges and
+    avoids the vertices <= floor.  A path of e edges ending at w adds one
+    to counts[e][slot[w]]; a negative slot is walked but not counted.
+
+    Iterative: stack[d] iterates the neighbours of path[d], the vertex d
+    edges along the current path, so the depth is bounded by `top`, not
+    by the interpreter's recursion limit.
+    """
+    on_path = [True] * (floor + 1) + [False] * (len(adj) - floor - 1)
+    on_path[s] = True
+    path = [s] * (top + 1)
+    stack = [iter(adj[s])] + [None] * top
+    d = 0
+    while d >= 0:
+        for w in stack[d]:
+            if on_path[w]:
+                continue
+            e = d + 1
+            i = slot[w]
+            if i >= 0:
+                counts[e][i] += 1
+            if e < top:
+                on_path[w] = True
+                path[e] = w
+                stack[e] = iter(adj[w])
+                d = e
+                break
+        else:
+            on_path[path[d]] = False
+            d -= 1
+
+
 def cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int, int]:
     """Counts of simple cycles by length.
 
-    Each cycle is seen exactly once: root the search at the cycle's
-    smallest vertex, extend only through larger vertices, and accept the
-    orientation whose second vertex is smaller than its last.
+    A k-cycle whose smallest vertex is s is a (k-1)-edge path from s
+    through larger vertices back to a neighbour of s; it is walked once
+    in each direction, so the walk counts are halved.
     """
     top = g.n if max_k is None else min(max_k, g.n)
-    hist: dict[int, int] = {}
     if top < 3:
-        return hist
+        return {}
+    counts = [[0] for _ in range(top)]
     adj = g._adj
-    for s in range(g.n):
-        in_path = [False] * g.n
-        in_path[s] = True
-        path = [s]
-
-        def extend():
-            v = path[-1]
-            depth = len(path)
-            for w in adj[v]:
-                if w <= s:
-                    if w == s and depth >= 3 and path[1] < path[-1]:
-                        hist[depth] = hist.get(depth, 0) + 1
-                    continue
-                if in_path[w] or depth == top:
-                    continue
-                in_path[w] = True
-                path.append(w)
-                extend()
-                path.pop()
-                in_path[w] = False
-
-        extend()
-    return hist
+    for s in range(g.n - 2):
+        slot = [-1] * g.n
+        for w in adj[s]:
+            slot[w] = 0
+        _walk(adj, s, top - 1, s, slot, counts)
+    return {e + 1: c // 2 for e, (c,) in enumerate(counts) if e >= 2 and c}
 
 
 def count_cycles(g: Graph, k: int) -> int:
@@ -360,36 +379,16 @@ def count_cycles(g: Graph, k: int) -> int:
 
 
 def path_histogram(g: Graph, max_edges: int | None = None) -> dict[int, int]:
-    """Counts of simple paths by edge count, each path seen once (runs
-    starting from its lesser endpoint are the ones accepted)."""
+    """Counts of simple paths by edge count, each path counted once: from
+    its lesser endpoint."""
     top = (g.n - 1) if max_edges is None else min(max_edges, g.n - 1)
-    hist: dict[int, int] = {}
     if top < 1:
-        return hist
-    adj = g._adj
-    for s in range(g.n):
-        in_path = [False] * g.n
-        in_path[s] = True
-        path = [s]
-
-        def extend():
-            v = path[-1]
-            for w in adj[v]:
-                if in_path[w]:
-                    continue
-                if w > s:
-                    e = len(path)
-                    hist[e] = hist.get(e, 0) + 1
-                if len(path) == top:
-                    continue
-                in_path[w] = True
-                path.append(w)
-                extend()
-                path.pop()
-                in_path[w] = False
-
-        extend()
-    return hist
+        return {}
+    counts = [[0] for _ in range(top + 1)]
+    for s in range(g.n - 1):
+        slot = [-1] * (s + 1) + [0] * (g.n - s - 1)
+        _walk(g._adj, s, top, -1, slot, counts)
+    return {e: c for e, (c,) in enumerate(counts) if c}
 
 
 def count_paths(g: Graph, k: int) -> int:
@@ -401,28 +400,10 @@ def count_paths(g: Graph, k: int) -> int:
 
 def paths_between_histogram(g: Graph, u: int) -> dict[tuple[int, int], int]:
     """For a fixed start u: counts of simple paths keyed by (endpoint, edge
-    count).  One DFS sweep shared by all endpoints."""
-    hist: dict[tuple[int, int], int] = {}
-    adj = g._adj
-    in_path = [False] * g.n
-    in_path[u] = True
-    path = [u]
-
-    def extend():
-        v = path[-1]
-        for w in adj[v]:
-            if in_path[w]:
-                continue
-            key = (w, len(path))
-            hist[key] = hist.get(key, 0) + 1
-            in_path[w] = True
-            path.append(w)
-            extend()
-            path.pop()
-            in_path[w] = False
-
-    extend()
-    return hist
+    count).  One walk shared by all endpoints."""
+    counts = [[0] * g.n for _ in range(g.n)]
+    _walk(g._adj, u, g.n - 1, -1, list(range(g.n)), counts)
+    return {(w, e): c for e, row in enumerate(counts) for w, c in enumerate(row) if c}
 
 
 def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:
@@ -431,35 +412,15 @@ def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:
         raise ValueError("endpoints must differ")
     if k < 1:
         raise ValueError(f"path edge count must be >= 1, got {k}")
-    count = 0
-    adj = g._adj
-    in_path = [False] * g.n
-    in_path[u] = True
-    path = [u]
-
-    def extend():
-        nonlocal count
-        w0 = path[-1]
-        remaining = k - (len(path) - 1)
-        if remaining == 0:
-            return
-        for w in adj[w0]:
-            if in_path[w]:
-                continue
-            if w == v:
-                if remaining == 1:
-                    count += 1
-                continue
-            if remaining == 1:
-                continue
-            in_path[w] = True
-            path.append(w)
-            extend()
-            path.pop()
-            in_path[w] = False
-
-    extend()
-    return count
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"endpoints ({u},{v}) outside vertex range 0..{g.n - 1}")
+    if k >= g.n:
+        return 0
+    slot = [-1] * g.n
+    slot[v] = 0
+    counts = [[0] for _ in range(k + 1)]
+    _walk(g._adj, u, k, -1, slot, counts)
+    return counts[k][0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph_core import Graph, Mop, count_cycles
+from .graph_core import Graph, Mop, count_cycles, graph_to_dot, parse_edge_list
 from .guards import check_limit
 
 __all__ = [
@@ -322,17 +322,10 @@ def cycle_subtree_counts(mop: Mop, k: int) -> CycleSubtreeCounts:
 # ---------------------------------------------------------------------------
 
 def parse_tree_text(text: str) -> Tree:
-    """Tree format: first line n, then n-1 lines 'parent child'."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty tree file")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Tree(n, edges)
+    """Tree format: the edge-list format (first line n, then one 'u v'
+    line per edge), validated as a tree."""
+    g = parse_edge_list(text)
+    return Tree(g.n, g.edges)
 
 
 def format_tree_text(tree: Tree) -> str:
@@ -354,8 +347,4 @@ def format_tree_text(tree: Tree) -> str:
 
 
 def tree_to_dot(tree: Tree, name: str = "T") -> str:
-    lines = [f"graph {name} {{"]
-    lines.extend(f"  {v};" for v in range(tree.n))
-    lines.extend(f"  {u} -- {v};" for u, v in tree.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return graph_to_dot(tree.as_graph(), name)

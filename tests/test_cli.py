@@ -34,6 +34,9 @@ def test_c_table_text_matches_known_row(capture):
     code, out, _ = capture("c-table", "--max-k", "12")
     assert code == 0
     assert "23.75" in out and "361.75" in out and "10.5" in out
+    # a table without a single column is a usage error, not an empty table
+    code, out, err = capture("c-table", "--max-k", "2")
+    assert code == 2 and out == "" and "--max-k" in err
 
 
 def test_c_table_json_schema_and_exact_rationals(capture):
@@ -94,6 +97,16 @@ def test_count_cycle_path_and_tree(capture, tmp_path):
     code, out, _ = capture("count", "--graph", str(graph_file),
                            "--pattern", f"tree:{tree_file}")
     assert code == 0 and int(out) > 0
+
+    # paths and cycles far longer than the interpreter's recursion limit
+    ring = 1200
+    ring_file = tmp_path / "ring.txt"
+    ring_file.write_text(f"{ring}\n" + "".join(f"{i} {(i + 1) % ring}\n"
+                                                for i in range(ring)))
+    for pattern, expected in ((f"cycle:{ring}", 1), (f"path:{ring - 1}", ring)):
+        code, out, err = capture("count", "--graph", str(ring_file),
+                                 "--pattern", pattern)
+        assert (code, out, err) == (0, f"{expected}\n", "")
 
 
 def test_count_missing_file(capture):
@@ -179,6 +192,10 @@ def test_verify_exit_codes(capture):
     assert code == 1 and "n6-unique-maximizer" in out
     code, _, err = capture("verify", "--suite", "p3-exact", "--max-n", "5")
     assert code == 0
+    # a suite that runs no cases has not verified anything
+    for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
+        code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)
+        assert code == 2 and out == "" and "no cases" in err
 
 
 def test_verify_json_schema(capture):
@@ -191,6 +208,9 @@ def test_verify_json_schema(capture):
 def test_verify_rejects_unknown_param(capture):
     code, _, err = capture("verify", "--suite", "c-table", "--param", "zap=1")
     assert code == 2 and "zap" in err
+    # an int where the suite expects a tuple of cases
+    code, _, err = capture("verify", "--suite", "injection", "--param", "triples=1")
+    assert code == 2 and "triples" in err
 
 
 def test_usage_errors_exit_two(capture):

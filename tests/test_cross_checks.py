@@ -11,10 +11,12 @@ from opturan.graph_core import (
     Mop,
     WrongChordCount,
     canonical_chords,
+    count_paths_between,
     cycle_histogram,
     enumerate_mops,
     fan,
     path_histogram,
+    paths_between_histogram,
     triple_fan,
 )
 from opturan.numeral_paths import numeral_graph
@@ -63,6 +65,17 @@ def nx_cycle_histogram(g):
     return hist
 
 
+def nx_paths_between_histogram(g, u):
+    nxg = to_networkx(g)
+    hist = {}
+    for v in range(g.n):
+        if v != u:
+            for path in nx.all_simple_paths(nxg, u, v):
+                key = (v, len(path) - 1)
+                hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def nx_path_histogram(g):
     nxg = to_networkx(g)
     hist = {}
@@ -83,6 +96,13 @@ def nx_path_histogram(g):
 def test_histograms_match_networkx(g):
     assert cycle_histogram(g) == nx_cycle_histogram(g)
     assert path_histogram(g) == nx_path_histogram(g)
+    for u in range(g.n):
+        expected = nx_paths_between_histogram(g, u)
+        assert paths_between_histogram(g, u) == expected
+        for v in range(g.n):
+            if v != u:
+                for k in range(1, g.n):
+                    assert count_paths_between(g, u, v, k) == expected.get((v, k), 0)
 
 
 def test_histograms_match_networkx_exhaustive_small():

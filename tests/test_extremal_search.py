@@ -183,6 +183,10 @@ def test_suite_names_and_errors():
         verify_suite("no-such-suite")
     with pytest.raises(ValueError):
         verify_suite("c-table", bogus=3)
+    with pytest.raises(ValueError, match="triples"):
+        verify_suite("injection", triples=1)
+    with pytest.raises(ValueError, match="no cases"):
+        verify_suite("catalan-identity", max_k=0)
 
 
 def test_suite_param_override():

@@ -150,6 +150,8 @@ def test_count_paths_between_examples():
     assert count_paths_between(square, 0, 2, 2) == 2
     with pytest.raises(ValueError):
         count_paths_between(square, 1, 1, 2)
+    with pytest.raises(ValueError):
+        count_paths_between(square, 0, -1, 2)  # not an alias for vertex 3
 
 
 def test_subgraph_count_examples():
