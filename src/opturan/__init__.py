@@ -31,6 +31,7 @@ from .graph_core import (
     count_paths,
     count_paths_between,
     cycle_pattern,
+    enumerate_mop_orbits,
     enumerate_mops,
     fan,
     fan_path_count,

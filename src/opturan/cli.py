@@ -411,6 +411,17 @@ def _cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _job_count(text: str) -> int:
+    """argparse type for --jobs: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opturan",
@@ -475,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--no-dedup", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--unsafe-scale", action="store_true")
     add_format(p, ("text", "json"), "text")
     p.set_defaults(func=_cmd_extremal)
@@ -483,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
                    choices=extremal_search.suite_names())
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--max-l", type=int, default=None)

@@ -29,6 +29,7 @@ from .graph_core import (
     count_paths,
     cycle_histogram,
     cycle_pattern,
+    enumerate_mop_orbits,
     enumerate_mops,
     fan,
     fan_path_count,
@@ -238,9 +239,12 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
                  else BRUTE_FORCE_LIMIT)
     check_limit(n, limit, "brute-force host size n")
     results = []
+    canon: dict[tuple, tuple] = {}  # each maximizer host canonicalised once
     for pattern, (best, argmax) in zip(patterns, _scan_all(n, patterns, jobs)):
         if dedup:
-            reps = sorted(set(canonical_chords(n, chords) for chords in argmax))
+            for chords in set(argmax) - canon.keys():
+                canon[chords] = canonical_chords(n, chords)
+            reps = sorted({canon[chords] for chords in argmax})
         else:
             reps = sorted(set(argmax))
         results.append(ExtremalResult(n=n, pattern=pattern, maximum=best,
@@ -277,9 +281,11 @@ def closed_form_maximum(n: int, pattern: Pattern):
 @lru_cache(maxsize=32)
 def _fixed_endpoint_maxima(n: int) -> tuple[int, ...]:
     """max over triangulations and vertex pairs of the number of equal-
-    length paths between the pair, indexed by edge count (0..n-1)."""
+    length paths between the pair, indexed by edge count (0..n-1).  The
+    maximum is a graph invariant, so one host per isomorphism class is
+    swept."""
     best = [0] * n
-    for mop in enumerate_mops(n):
+    for mop in enumerate_mop_orbits(n):
         g = mop.graph
         for u in range(n - 1):
             hist = paths_between_histogram(g, u)
@@ -484,7 +490,8 @@ def _suite_greedy_optimality(params, jobs):
     cases = []
     for n in range(3, params["max_n"] + 1):
         patterns = [Pattern.cycle(k) for k in range(3, n + 1)]
-        results = brute_force_many(n, patterns, dedup=True, jobs=jobs)
+        # only the maxima are compared, so the maximizers stay labeled
+        results = brute_force_many(n, patterns, dedup=False, jobs=jobs)
         trees = list(enumerate_bounded_trees(n - 2, 3)) if n >= 3 else []
         greedy = greedy_tree(3, n - 2) if n - 2 >= 1 else None
         for k, res in zip(range(3, n + 1), results):

@@ -37,6 +37,7 @@ __all__ = [
     "cycle_pattern",
     "path_pattern",
     "enumerate_mops",
+    "enumerate_mop_orbits",
     "count_cycles",
     "cycle_histogram",
     "count_paths",
@@ -312,6 +313,23 @@ def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
     for left in _triangulation_chords(vs[: i + 1]):
         for right in _triangulation_chords(vs[i:]):
             yield Mop(n, left | right | frozenset(extra))
+
+
+def enumerate_mop_orbits(n: int, limit: int | None = MOP_ENUM_LIMIT) -> Iterator[Mop]:
+    """One triangulation of the convex n-gon per dihedral orbit, that is,
+    per isomorphism class (OEIS A000207: 1, 1, 1, 3, 4, 12, 27, 82, ... for
+    n = 3, 4, 5, ...).  The representative is the labeled host whose sorted
+    chord list equals canonical_chords of its orbit; hosts come in the
+    order of enumerate_mops.
+
+    Use it only for sweeps whose result is a graph invariant.
+    """
+    for mop in enumerate_mops(n, limit=limit):
+        pairs = mop.sorted_chords()
+        own = [a * n + b for a, b in pairs]
+        # early exit: the first smaller image rejects the host
+        if all(own <= image for image in _dihedral_images(n, pairs)):
+            yield mop
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +615,8 @@ def is_outerplanar_small(g: Graph) -> bool:
     if len(g.edges) > 2 * g.n - 3:
         return False
     pat = PatternGraph(g, automorphisms=1)  # existence only, Aut irrelevant
-    for mop in enumerate_mops(g.n):
+    # embedding into a host is invariant under relabeling it
+    for mop in enumerate_mop_orbits(g.n):
         if _count_injective_maps(mop.graph, pat.graph, stop_at=1):
             return True
     return False
@@ -684,6 +703,22 @@ def star_blowup(pattern: PatternGraph, s: int) -> Graph:
 # Canonical form and serialization
 # ---------------------------------------------------------------------------
 
+def _dihedral_images(n: int, pairs: list[tuple[int, int]]) -> Iterator[list[int]]:
+    """The chords (a, b), a < b, under each of the 2n dihedral relabelings
+    of the polygon: rotations v -> v + s and reflections v -> s - v (mod n).
+    Each image is the sorted list of codes a*n + b; codes order like the
+    (a, b) tuples, so two images compare like their sorted chord tuples.
+    """
+    rot = list(range(n)) * 2
+    ref = rot[::-1]  # ref[i] = n - 1 - (i mod n)
+    for s in range(n):
+        for perm in (rot[s:s + n], ref[n - 1 - s:2 * n - 1 - s]):
+            image = [x * n + y if (x := perm[a]) < (y := perm[b]) else y * n + x
+                     for a, b in pairs]
+            image.sort()
+            yield image
+
+
 def canonical_chords(n: int, chords: Iterable[tuple[int, int]]) -> tuple:
     """Least chord set over the 2n dihedral relabelings of the polygon.
 
@@ -691,19 +726,8 @@ def canonical_chords(n: int, chords: Iterable[tuple[int, int]]) -> tuple:
     sets agree: for n >= 4 the polygon boundary is the unique Hamiltonian
     cycle of a maximal outerplanar graph, so every isomorphism respects it.
     """
-    cs = [tuple(sorted(c)) for c in chords]
-    best = None
-    for reflect in (False, True):
-        for shift in range(n):
-            mapped = []
-            for a, b in cs:
-                a2 = (shift - a) % n if reflect else (a + shift) % n
-                b2 = (shift - b) % n if reflect else (b + shift) % n
-                mapped.append((a2, b2) if a2 < b2 else (b2, a2))
-            key = tuple(sorted(mapped))
-            if best is None or key < best:
-                best = key
-    return best
+    pairs = [tuple(sorted(c)) for c in chords]
+    return tuple(divmod(code, n) for code in min(_dihedral_images(n, pairs)))
 
 
 def parse_edge_list(text: str) -> Graph:

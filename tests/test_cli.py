@@ -227,6 +227,12 @@ def test_verify_rejects_unknown_param(capture):
 def test_usage_errors_exit_two(capture):
     assert capture("verify")[0] == 2          # missing --suite
     assert capture("no-such-command")[0] == 2
+    for argv in (("extremal", "-n", "6", "--pattern", "path:3", "--jobs", "0"),
+                 ("verify", "--suite", "counterexample-6", "--jobs", "-3")):
+        code, out, err = capture(*argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument --jobs: must be an integer >= 1, got {argv[-1]!r}")
 
 
 # ---------------------------------------------------------------------------

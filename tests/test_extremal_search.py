@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from opturan import extremal_search
 from opturan.exactmath import path_count_bounds
 from opturan.extremal_search import (
     NOT_COVERED,
@@ -20,6 +21,7 @@ from opturan.graph_core import (
     canonical_chords,
     enumerate_mops,
     fan,
+    paths_between_histogram,
     subgraph_count,
     triple_fan,
 )
@@ -103,6 +105,23 @@ def test_brute_force_many_shares_enumeration():
     assert [r.maximum for r in results] == [5, 4, 29]
 
 
+def test_dedup_canonicalises_each_maximizer_once(monkeypatch):
+    calls = []
+
+    def counting(n, chords):
+        calls.append(chords)
+        return canonical_chords(n, chords)
+
+    monkeypatch.setattr(extremal_search, "canonical_chords", counting)
+    # every host maximizes C3 and C4 alike: 42 hosts, 4 orbits
+    results = brute_force_many(7, [Pattern.cycle(3), Pattern.cycle(4)])
+    assert [len(r.maximizers) for r in results] == [4, 4]
+    assert len(calls) == len(set(calls)) == 42
+    calls.clear()
+    assert verify_suite("greedy-optimality", max_n=7).passed
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -150,10 +169,18 @@ def test_max_fixed_endpoint_paths():
         max_fixed_endpoint_paths(5, 5)
 
 
+def test_fixed_endpoint_maxima_match_labeled_sweep():
+    for n in range(4, 10):
+        best = [0] * n
+        for m in enumerate_mops(n):
+            for u in range(n):
+                for (v, e), c in paths_between_histogram(m.graph, u).items():
+                    best[e] = max(best[e], c)
+        assert extremal_search._fixed_endpoint_maxima(n) == tuple(best)
+
+
 def test_adjacent_pair_paths_below_catalan():
     # consecutive outer vertices: r-edge path counts stay below C(r-1)
-    from opturan.graph_core import paths_between_histogram
-
     bounds = path_count_bounds(10)
     for n in range(3, 9):
         for m in enumerate_mops(n):

@@ -20,6 +20,7 @@ from opturan.graph_core import (
     count_paths_between,
     cycle_histogram,
     cycle_pattern,
+    enumerate_mop_orbits,
     enumerate_mops,
     fan,
     fan_path_count,
@@ -123,6 +124,32 @@ def test_enumerate_mops_apex_partition():
         assert not (merged & p)
         merged |= p
     assert merged == whole
+
+
+# dihedral orbits of polygon triangulations, n = 3..12 (OEIS A000207)
+ORBIT_COUNTS = dict(zip(range(3, 13), (1, 1, 1, 3, 4, 12, 27, 82, 228, 733)))
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_COUNTS))
+def test_enumerate_mop_orbits_counts(n):
+    assert sum(1 for _ in enumerate_mop_orbits(n)) == ORBIT_COUNTS[n]
+
+
+def test_enumerate_mop_orbits_are_the_canonical_hosts():
+    for n in range(3, 11):
+        reps = [tuple(m.sorted_chords()) for m in enumerate_mop_orbits(n)]
+        assert len(reps) == len(set(reps))
+        assert set(reps) == {canonical_chords(n, m.chords) for m in enumerate_mops(n)}
+
+
+def test_enumerate_mop_orbits_guard():
+    with pytest.raises(ScaleLimitError):
+        next(enumerate_mop_orbits(17))
+    with pytest.raises(ScaleLimitError):
+        next(enumerate_mop_orbits(9, limit=8))
+    with pytest.raises(ValueError):
+        next(enumerate_mop_orbits(2))
+    assert sum(1 for _ in enumerate_mop_orbits(9, limit=None)) == ORBIT_COUNTS[9]
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +323,31 @@ def test_canonical_chords_identifies_rotations():
                for a, b in fan(6).chords]
     assert canonical_chords(6, rotated) == base
     assert canonical_chords(6, triple_fan(6).chords) != base
+
+
+def reference_canonical_chords(n, chords):
+    """Least sorted tuple of chord tuples over the 2n dihedral images."""
+    images = []
+    for shift in range(n):
+        for reflect in (False, True):
+            image = []
+            for a, b in chords:
+                x, y = ((shift - a) % n, (shift - b) % n) if reflect else (
+                    (a + shift) % n, (b + shift) % n)
+                image.append((min(x, y), max(x, y)))
+            images.append(tuple(sorted(image)))
+    return min(images)
+
+
+def test_canonical_chords_matches_tuple_reference():
+    for n in range(3, 10):
+        for m in enumerate_mops(n):
+            assert canonical_chords(n, m.chords) == reference_canonical_chords(n, m.chords)
+    chords = sorted(triple_fan(9).chords, reverse=True)
+    scrambled = [(b, a) if i % 2 else (a, b) for i, (a, b) in enumerate(chords)]
+    assert canonical_chords(9, scrambled) == reference_canonical_chords(9, chords)
+    assert canonical_chords(9, scrambled) == canonical_chords(9, triple_fan(9).chords)
+    assert canonical_chords(5, [[3, 0], [0, 2]]) == ((0, 2), (0, 3))
 
 
 def test_edge_list_round_trip():
