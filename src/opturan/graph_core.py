@@ -315,7 +315,7 @@ def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
             yield Mop(n, left | right | frozenset(extra))
 
 
-def enumerate_mop_orbits(n: int, limit: int | None = MOP_ENUM_LIMIT) -> Iterator[Mop]:
+def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
     """One triangulation of the convex n-gon per dihedral orbit, that is,
     per isomorphism class (OEIS A000207: 1, 1, 1, 3, 4, 12, 27, 82, ... for
     n = 3, 4, 5, ...).  The representative is the labeled host whose sorted
@@ -324,7 +324,7 @@ def enumerate_mop_orbits(n: int, limit: int | None = MOP_ENUM_LIMIT) -> Iterator
 
     Use it only for sweeps whose result is a graph invariant.
     """
-    for mop in enumerate_mops(n, limit=limit):
+    for mop in enumerate_mops(n):
         pairs = mop.sorted_chords()
         own = [a * n + b for a, b in pairs]
         # early exit: the first smaller image rejects the host
