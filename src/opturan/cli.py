@@ -230,18 +230,14 @@ def _cmd_subtrees(args) -> int:
     return 0
 
 
-def _graph_output(args, command: str, params: dict, graph: graph_core.Graph,
-                  mop: graph_core.Mop | None = None) -> int:
+def _graph_output(args, command: str, params: dict, mop: graph_core.Mop) -> int:
+    # JSON prints the chords alone; only text and DOT need the graph built.
     if args.format == "json":
-        if mop is not None:
-            _emit_json(command, params, mop.to_json_obj())
-        else:
-            _emit_json(command, params,
-                       {"n": graph.n, "edges": [list(e) for e in sorted(graph.edges)]})
+        _emit_json(command, params, mop.to_json_obj())
     elif args.format == "dot":
-        sys.stdout.write(graph_core.graph_to_dot(graph))
+        sys.stdout.write(graph_core.graph_to_dot(mop.graph))
     else:
-        sys.stdout.write(graph_core.format_edge_list(graph))
+        sys.stdout.write(graph_core.format_edge_list(mop.graph))
     return 0
 
 
@@ -279,7 +275,7 @@ def _cmd_gen(args) -> int:
                   file=sys.stderr)
         mop = numeral_paths.numeral_graph(base, width, limit=limit).mop
         params = {"numeral": [base, width]}
-    return _graph_output(args, "gen", params, mop.graph, mop=mop)
+    return _graph_output(args, "gen", params, mop)
 
 
 def _cmd_count(args) -> int:

@@ -11,7 +11,10 @@ The central objects:
   3-regular tree (their difference of consecutive Catalan numbers);
 * `SubtreeProfileTable`: the double-indexed count of k-vertex subtrees
   hanging from a deepest-level vertex of a large complete binary tree,
-  split by how many deepest-level vertices the subtree uses;
+  split by how many deepest-level vertices the subtree uses.  Its rows
+  live once per process in a shared, append-only store that grows on
+  demand, so every table is a bounds-checked view of the same rows and no
+  row is computed twice;
 * `subtree_density(k)` / `cycle_density(k)`: the exact per-vertex density
   of k-vertex subtrees in binary trees, equivalently of (k+2)-cycles in
   the densest outerplanar hosts;
@@ -24,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+import threading
 from typing import NamedTuple
 
 __all__ = [
@@ -72,6 +76,29 @@ def fixed_vertex_subtree_count(k: int) -> int:
     return q
 
 
+# _PROFILE_ROWS[k][r] = SubtreeProfileTable count(k, r) for r = 0..k (entry
+# 0 unused).  Rows are only ever appended, so each is computed once per process.
+_PROFILE_ROWS: list[list[int]] = [[0], [0, 1]]
+_PROFILE_LOCK = threading.Lock()
+
+
+def _profile_rows(k_max: int) -> list[list[int]]:
+    """The shared rows, grown up to row k_max.  Zero terms of the recursion
+    are skipped: C(2s-1, r-1) vanishes for r > 2s, so s starts at ceil(r/2).
+    Entry r = k stays 0: the deleted level was everything, no anchor above.
+    """
+    rows = _PROFILE_ROWS
+    with _PROFILE_LOCK:
+        for k in range(len(rows), k_max + 1):
+            row = [0] * (k + 1)
+            for r in range(1, k):
+                prev = rows[k - r]
+                row[r] = sum(prev[s] * comb(2 * s - 1, r - 1)
+                             for s in range((r + 1) // 2, k - r + 1) if prev[s])
+            rows.append(row)
+    return rows
+
+
 class SubtreeProfileTable:
     """Counts of k-vertex subtrees through a fixed deepest-level vertex of a
     large complete binary tree, indexed by (k, r) where r is the number of
@@ -84,23 +111,15 @@ class SubtreeProfileTable:
     obtained by deleting the deepest level: a surviving (k-r)-vertex subtree
     with s vertices on the new deepest level can be re-expanded by r deepest
     vertices, one of which is the fixed one, in C(2s-1, r-1) ways.
+
+    A table is a bounds-checked view of the module's shared rows up to k_max.
     """
 
     def __init__(self, k_max: int):
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
         self.k_max = k_max
-        rows = [[0] * (k_max + 1) for _ in range(k_max + 1)]
-        rows[1][1] = 1
-        for k in range(2, k_max + 1):
-            for r in range(1, k + 1):
-                if k - r == 0:
-                    continue  # the deleted level was everything: no anchor above
-                rows[k][r] = sum(
-                    rows[k - r][s] * comb(2 * s - 1, r - 1)
-                    for s in range(1, k - r + 1)
-                )
-        self._rows = rows
+        self._rows = _profile_rows(k_max)
 
     def count(self, k: int, r: int) -> int:
         """Entry at subtree size k and deepest-level multiplicity r."""
@@ -108,15 +127,13 @@ class SubtreeProfileTable:
             raise ValueError(f"k={k} outside table range 1..{self.k_max}")
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
-        if r > self.k_max:
-            return 0
-        return self._rows[k][r]
+        return self._rows[k][r] if r <= k else 0
 
     def row(self, k: int) -> tuple:
         """All entries (r = 1..k) for subtree size k."""
         if not (1 <= k <= self.k_max):
             raise ValueError(f"k={k} outside table range 1..{self.k_max}")
-        return tuple(self._rows[k][1 : k + 1])
+        return tuple(self._rows[k][1:])
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +151,8 @@ def subtree_density(k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError(f"subtree size must be >= 1, got {k}")
-    # Round the cached table up to a power of two so sweeps over k reuse it.
-    table = subtree_profile_table(max(16, 1 << (k - 1).bit_length()))
-    return sum((Fraction(table.count(k, r), r) for r in range(1, k + 1)), Fraction(0))
+    row = _profile_rows(k)[k]
+    return sum((Fraction(c, r) for r, c in enumerate(row) if c), Fraction(0))
 
 
 def cycle_density(k: int) -> Fraction:

@@ -631,7 +631,18 @@ def _suite_injection(params, jobs):
     return cases
 
 
+def _checked_range(suite: str, key: str, lo: int, params: dict) -> range:
+    """lo..params[key] for a case that checks a whole range.  An empty range
+    would let the case pass having checked nothing, so it is a usage error."""
+    hi = params[key]
+    if hi < lo:
+        raise ValueError(f"suite {suite!r} checks nothing with {key}={hi}: "
+                         f"the range {lo}..{hi} is empty")
+    return range(lo, hi + 1)
+
+
 def _suite_bounds_4k(params, jobs):
+    density_ks = _checked_range("bounds-4k", "max_k_density", 1, params)
     cases = []
     bounds = exactmath.path_count_bounds(params["max_k_f"])
     bad = [k for k in range(params["max_k_f"] + 1)
@@ -644,7 +655,7 @@ def _suite_bounds_4k(params, jobs):
         cases.append(CaseResult(f"fixed-endpoint-max-below-bound-n{n}", 0,
                                 len(bad_ks), not bad_ks,
                                 detail="all edge counts, all pairs"))
-    bad_density = [k for k in range(1, params["max_k_density"] + 1)
+    bad_density = [k for k in density_ks
                    if exactmath.subtree_density(k) >= 4**k]
     cases.append(CaseResult("subtree-density-below-4^k", 0, len(bad_density),
                             not bad_density,
@@ -663,7 +674,7 @@ def _suite_bounds_4k(params, jobs):
 def _suite_limit_bounds(params, jobs):
     cases = []
     bad = []
-    for k in range(16, params["max_k"] + 1):
+    for k in _checked_range("limit-bounds", "max_k", 16, params):
         density = exactmath.subtree_density(k)
         if not (exactmath.density_lower_exact(k) <= density < Fraction(4)**k):
             bad.append(k)

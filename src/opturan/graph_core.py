@@ -148,29 +148,21 @@ def _normalize_chord(n: int, pair) -> tuple[int, int]:
     return a, b
 
 
-def _check_noncrossing(n: int, chords: list[tuple[int, int]]) -> None:
-    """Laminarity sweep: walk the polygon once, matching chord endpoints
-    like parentheses.  A chord forced to close while a later-opened chord
-    is still on top of the stack crosses that chord.  O(m log m).
+def _check_noncrossing(chords: Iterable[tuple[int, int]]) -> None:
+    """Laminarity sweep over normalised chords (a < b), sorted once by
+    (a, -b) so that chords sharing a left end come outermost first.  The
+    stack holds the open chords, each nested in the one below it; chords
+    whose right end is <= a are closed.  A chord crosses the innermost open
+    chord exactly when it ends past that chord's right end.  O(m log m).
     """
-    opens: dict[int, list[tuple[int, int]]] = {}
-    closes: dict[int, list[tuple[int, int]]] = {}
-    for c in chords:
-        opens.setdefault(c[0], []).append(c)
-        closes.setdefault(c[1], []).append(c)
     stack: list[tuple[int, int]] = []
-    for v in range(n):
-        # Inner chords close first: larger opening endpoint means deeper.
-        for c in sorted(closes.get(v, ()), key=lambda c: -c[0]):
-            if not stack or stack[-1] != c:
-                other = stack[-1] if stack else None
-                raise CrossingChords(f"chords {other} and {c} cross")
+    for c in sorted(chords, key=lambda c: (c[0], -c[1])):
+        a, b = c
+        while stack and stack[-1][1] <= a:
             stack.pop()
-        # Chords reaching further close later, so push them first.
-        for c in sorted(opens.get(v, ()), key=lambda c: -c[1]):
-            stack.append(c)
-    if stack:  # cannot happen: every chord closes within 0..n-1
-        raise CrossingChords(f"unmatched chord {stack[-1]}")
+        if stack and b > stack[-1][1]:
+            raise CrossingChords(f"chords {stack[-1]} and {c} cross")
+        stack.append(c)
 
 
 @dataclass(frozen=True)
@@ -197,7 +189,7 @@ class Mop:
             seen.add(c)
             norm.append(c)
         object.__setattr__(self, "chords", frozenset(norm))
-        _check_noncrossing(self.n, sorted(norm))
+        _check_noncrossing(norm)
         if len(norm) != self.n - 3:
             raise WrongChordCount(
                 f"{len(norm)} chords on a {self.n}-gon; a triangulation has {self.n - 3}"

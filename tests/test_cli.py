@@ -3,11 +3,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from opturan import graph_core
 from opturan.cli import OUTPUT_SCHEMA, run
+
+# stdout of `gen` for three constructions in every format, keyed by argv,
+# recorded before `gen` stopped building the graph for JSON output.
+GEN_STDOUT = json.loads((Path(__file__).parent / "gen_stdout.json").read_text())
 
 
 @pytest.fixture
@@ -69,6 +75,20 @@ def test_gen_fan_edges_and_dot(capture, tmp_path):
     code, js, _ = capture("gen", "--triple-fan", "6", "--format", "json")
     obj = check_json_line(js)
     assert obj["result"]["chords"] == [[0, 2], [0, 4], [2, 4]]
+
+
+@pytest.mark.parametrize("argv", sorted(GEN_STDOUT))
+def test_gen_stdout_is_unchanged(capture, argv):
+    code, out, err = capture(*argv.split())
+    assert (code, out, err) == (0, GEN_STDOUT[argv], "")
+
+
+def test_gen_json_builds_no_graph(capture):
+    before = graph_core._mop_graph.cache_info()
+    code, out, _ = capture("gen", "--numeral", "10", "3", "--format", "json")
+    assert code == 0 and check_json_line(out)["result"]["n"] == 1000
+    # neither a miss nor a hit: the chords are printed without the graph
+    assert graph_core._mop_graph.cache_info() == before
 
 
 def test_gen_requires_exactly_one_construction(capture):
@@ -207,6 +227,12 @@ def test_verify_exit_codes(capture):
     for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
         code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)
         assert code == 2 and out == "" and "no cases" in err
+    # nor has a case whose range of k is empty
+    for suite, param in (("limit-bounds", "max_k=3"),
+                         ("bounds-4k", "max_k_density=0")):
+        code, out, err = capture("verify", "--suite", suite, "--param", param)
+        assert code == 2 and out == ""
+        assert param in err and "is empty" in err
 
 
 def test_verify_json_schema(capture):
@@ -256,6 +282,14 @@ def test_byte_identical_output_across_processes():
         second = run_cli_subprocess(*argv)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    proc = subprocess.run([sys.executable, "-m", "opturan", "c-table", "--max-k", "5"],
+                          capture_output=True, text=True, timeout=300)
+    assert run(["c-table", "--max-k", "5"]) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.startswith("k ")
 
 
 def test_jobs_do_not_perturb_output():

@@ -1,6 +1,7 @@
 """Second-opinion oracles: naive validators and networkx routes."""
 
 import itertools
+import re
 
 import networkx as nx
 import pytest
@@ -49,6 +50,31 @@ def test_mop_validation_matches_naive_oracle(data):
     else:
         # a non-crossing set of n-3 diagonals is always a triangulation
         Mop(n, frozenset(chords))
+
+
+def crosses(c, d):
+    """Two diagonals cross when their endpoints interleave: a < c < b < d."""
+    (a, b), (x, y) = sorted([c, d])
+    return a < x < b < y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_crossing_check_matches_pairwise_test(data):
+    n = data.draw(st.integers(min_value=4, max_value=12))
+    chords = data.draw(st.sets(st.sampled_from(all_diagonals(n)), max_size=n))
+    crossing = any(crosses(c, d) for c, d in itertools.combinations(chords, 2))
+    try:
+        Mop(n, frozenset(chords))
+    except CrossingChords as exc:
+        assert crossing
+        named = [(int(a), int(b)) for a, b in re.findall(r"\((\d+), (\d+)\)", str(exc))]
+        assert len(named) == 2 and set(named) <= chords
+        assert crosses(*named)
+    except WrongChordCount:
+        assert not crossing
+    else:
+        assert not crossing
 
 
 def to_networkx(g):

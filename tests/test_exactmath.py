@@ -135,6 +135,56 @@ def test_profile_table_row_and_range_errors():
         table.count(3, 0)
 
 
+def profile_rows_by_triple_loop(k_max):
+    """Independent oracle: the profile recursion as a plain triple loop over
+    a square table, every term included."""
+    rows = [[0] * (k_max + 1) for _ in range(k_max + 1)]
+    rows[1][1] = 1
+    for k in range(2, k_max + 1):
+        for r in range(1, k):
+            rows[k][r] = sum(rows[k - r][s] * comb(2 * s - 1, r - 1)
+                             for s in range(1, k - r + 1))
+    return rows
+
+
+def test_shared_profile_rows_match_triple_loop():
+    oracle = profile_rows_by_triple_loop(64)
+    table = subtree_profile_table(64)
+    for k in range(1, 65):
+        assert table.row(k) == tuple(oracle[k][1 : k + 1])
+        assert [table.count(k, r) for r in range(1, 65)] == oracle[k][1:]
+        assert subtree_density(k) == sum(Fraction(oracle[k][r], r)
+                                         for r in range(1, k + 1))
+
+
+def _entries(table):
+    return [[table.count(k, r) for r in range(1, table.k_max + 1)]
+            for k in range(1, table.k_max + 1)]
+
+
+def test_profile_tables_agree_whatever_order_they_grow_in(monkeypatch):
+    grown = {}
+    for order in ((64, 5, 200), (5, 64)):
+        monkeypatch.setattr(exactmath, "_PROFILE_ROWS", [[0], [0, 1]])
+        for k_max in order:
+            grown[order, k_max] = _entries(exactmath.SubtreeProfileTable(k_max))
+        assert len(exactmath._PROFILE_ROWS) == max(order) + 1
+    assert grown[(64, 5, 200), 5] == grown[(5, 64), 5]
+    assert grown[(64, 5, 200), 64] == grown[(5, 64), 64]
+    big = grown[(64, 5, 200), 200]
+    assert [row[:64] for row in big[:64]] == grown[(5, 64), 64]
+
+
+def test_small_table_keeps_its_bounds_after_a_larger_one():
+    subtree_profile_table(64)
+    small = subtree_profile_table(5)
+    with pytest.raises(ValueError):
+        small.count(6, 1)
+    with pytest.raises(ValueError):
+        small.row(6)
+    assert small.count(5, 6) == 0
+
+
 def test_subtree_density_examples():
     assert subtree_density(3) == Fraction(3, 2)
     assert subtree_density(5) == Fraction(5)
