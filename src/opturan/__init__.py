@@ -50,7 +50,6 @@ from .numeral_paths import (
     count_schedules_with_multiplicities,
     enumerate_schedules,
     numeral_graph,
-    schedule_count_lower_bound,
     schedule_count_lower_bound_exact,
     schedule_to_path,
 )

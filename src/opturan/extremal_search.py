@@ -565,14 +565,17 @@ def _suite_triple_fan_beats_fan(params, jobs):
 
 
 def _suite_gamma(params, jobs):
+    widths = _checked_range("gamma", "max_t", 2, params)
+    lengths = _checked_range("gamma", "max_l", 0, params)
+    product_lengths = _checked_range("gamma", "max_l_products", 1, params)
     cases = []
-    for t in range(2, params["max_t"] + 1):
-        for length in range(0, params["max_l"] + 1):
+    for t in widths:
+        for length in lengths:
             expected = numeral_paths.count_schedules(length, t)
             actual = sum(1 for _ in numeral_paths.enumerate_schedules(length, t))
             cases.append(CaseResult(f"count-vs-enumeration-L{length}-t{t}",
                                     expected, actual, expected == actual))
-    for length in range(1, params["max_l_products"] + 1):
+    for length in product_lengths:
         buckets: dict[tuple, int] = {}
         top = 0
         for sched in numeral_paths.enumerate_schedules(length, length + 1):
@@ -587,7 +590,7 @@ def _suite_gamma(params, jobs):
         cases.append(CaseResult(f"multiplicity-products-L{length}", 0, mismatches,
                                 mismatches == 0,
                                 detail=f"{len(buckets)} multiplicity vectors"))
-    for length in range(0, params["max_l"] + 1):
+    for length in lengths:
         expected = catalan(length)
         width = max(length + 1, 2)  # smallest width whose cap is inactive
         actual = numeral_paths.count_schedules(length, width)
@@ -643,13 +646,14 @@ def _checked_range(suite: str, key: str, lo: int, params: dict) -> range:
 
 def _suite_bounds_4k(params, jobs):
     density_ks = _checked_range("bounds-4k", "max_k_density", 1, params)
+    path_ns = _checked_range("bounds-4k", "max_n_paths", 3, params)
     cases = []
     bounds = exactmath.path_count_bounds(params["max_k_f"])
     bad = [k for k in range(params["max_k_f"] + 1)
            if bounds.any_pair(k) > 4**k]
     cases.append(CaseResult("path-bound-below-4^k", 0, len(bad), not bad,
                             detail=f"k = 0..{params['max_k_f']}"))
-    for n in range(3, params["max_n_paths"] + 1):
+    for n in path_ns:
         bad_ks = [k for k in range(1, n)
                   if max_fixed_endpoint_paths(n, k) > bounds.any_pair(k)]
         cases.append(CaseResult(f"fixed-endpoint-max-below-bound-n{n}", 0,

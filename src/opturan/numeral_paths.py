@@ -36,7 +36,6 @@ __all__ = [
     "enumerate_schedules",
     "count_schedules_with_multiplicities",
     "schedule_to_path",
-    "schedule_count_lower_bound",
     "schedule_count_lower_bound_exact",
     "admissible_pairs",
 ]
@@ -150,26 +149,39 @@ class StepSchedule:
     width: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        vs = self.values
+        vs = tuple(map(int, self.values))
+        object.__setattr__(self, "values", vs)
         if self.width < 2:
             raise ValueError(f"width must be >= 2, got {self.width}")
         if vs:
-            if vs[0] != 0:
-                raise ValueError(f"schedule must start at 0, got {vs[0]}")
             cap = self.width - 2
-            prev = vs[0]
-            for i, v in enumerate(vs):
-                if v < 0 or v > cap:
-                    raise ValueError(f"schedule value {v} at position {i} outside 0..{cap}")
-                if i and v > prev + 1:
-                    raise ValueError(
-                        f"schedule rises from {prev} to {v} at position {i}"
-                    )
+            if vs[0] != 0:
+                _reject_schedule(vs, cap)
+            # range and rise in one pass; the message comes from the slow path
+            prev = 0
+            for v in vs:
+                if v < 0 or v > cap or v > prev + 1:
+                    _reject_schedule(vs, cap)
                 prev = v
 
     def __len__(self):
         return len(self.values)
+
+
+def _reject_schedule(vs: tuple[int, ...], cap: int):
+    """Raise the ValueError naming the first position where the non-empty
+    schedule vs breaks a rule."""
+    if vs[0] != 0:
+        raise ValueError(f"schedule must start at 0, got {vs[0]}")
+    prev = vs[0]
+    for i, v in enumerate(vs):
+        if v < 0 or v > cap:
+            raise ValueError(f"schedule value {v} at position {i} outside 0..{cap}")
+        if i and v > prev + 1:
+            raise ValueError(f"schedule rises from {prev} to {v} at position {i}")
+        prev = v
+    raise RuntimeError(f"schedule {vs} was rejected but breaks no rule; "
+                       "this is a bug")
 
 
 def count_schedules(length: int, width: int) -> int:
@@ -207,16 +219,21 @@ def enumerate_schedules(length: int, width: int,
         return
     cap = width - 2
     values = [0] * length
-
-    def rec(i: int):
-        if i == length:
-            yield StepSchedule(tuple(values), width)
+    while True:
+        yield StepSchedule(tuple(values), width)
+        # odometer: from the right, positions already at their largest
+        # value (the cap, or one above their left neighbour) wrap to 0, and
+        # the first one that can still rise goes up by one
+        i = length - 1
+        while i:
+            v = values[i]
+            if v < cap and v <= values[i - 1]:
+                values[i] = v + 1
+                break
+            values[i] = 0
+            i -= 1
+        else:
             return
-        for v in range(0, min(values[i - 1] + 1, cap) + 1):
-            values[i] = v
-            yield from rec(i + 1)
-
-    yield from rec(1)
 
 
 def count_schedules_with_multiplicities(counts: Sequence[int]) -> int:
@@ -341,11 +358,6 @@ def schedule_count_lower_bound_exact(edge_count: int) -> Fraction:
         root_floor = Fraction(isqrt(k * 4**30), 2**30)
         denom = (2 * root_floor) ** t
     return Fraction(2 ** (2 * k - 5 * t)) / denom
-
-
-def schedule_count_lower_bound(edge_count: int) -> float:
-    """Float view of schedule_count_lower_bound_exact, for reporting."""
-    return float(schedule_count_lower_bound_exact(edge_count))
 
 
 def admissible_pairs(base: int, width: int, edge_count: int,

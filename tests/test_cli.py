@@ -14,6 +14,7 @@ from opturan.cli import OUTPUT_SCHEMA, run
 # stdout of `gen` for three constructions in every format, keyed by argv,
 # recorded before `gen` stopped building the graph for JSON output.
 GEN_STDOUT = json.loads((Path(__file__).parent / "gen_stdout.json").read_text())
+GAMMA_STDOUT = json.loads((Path(__file__).parent / "gamma_stdout.json").read_text())
 
 
 @pytest.fixture
@@ -167,6 +168,12 @@ def test_gamma_count_and_enumeration(capture):
     assert obj["result"] == {"count": 2, "schedules": [[0, 0], [0, 1]]}
 
 
+@pytest.mark.parametrize("argv", sorted(GAMMA_STDOUT))
+def test_gamma_enumerate_stdout_is_unchanged(capture, argv):
+    code, out, err = capture(*argv.split())
+    assert (code, out, err) == (0, GAMMA_STDOUT[argv], "")
+
+
 def test_inject_single_and_all(capture):
     code, out, _ = capture("inject", "--N", "10", "--t", "2", "--k", "8",
                            "--A", "99", "--B", "88")
@@ -227,9 +234,13 @@ def test_verify_exit_codes(capture):
     for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
         code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)
         assert code == 2 and out == "" and "no cases" in err
-    # nor has a case whose range of k is empty
+    # nor has a case, or a family of cases, whose range is empty
     for suite, param in (("limit-bounds", "max_k=3"),
-                         ("bounds-4k", "max_k_density=0")):
+                         ("bounds-4k", "max_k_density=0"),
+                         ("bounds-4k", "max_n_paths=2"),
+                         ("gamma", "max_t=1"),
+                         ("gamma", "max_l=-1"),
+                         ("gamma", "max_l_products=0")):
         code, out, err = capture("verify", "--suite", suite, "--param", param)
         assert code == 2 and out == ""
         assert param in err and "is empty" in err

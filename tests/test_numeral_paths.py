@@ -13,7 +13,6 @@ from opturan.numeral_paths import (
     count_schedules_with_multiplicities,
     enumerate_schedules,
     numeral_graph,
-    schedule_count_lower_bound,
     schedule_count_lower_bound_exact,
     schedule_to_path,
 )
@@ -84,6 +83,46 @@ def test_schedule_validation():
         StepSchedule((0, 1, 0, 0), 2)
 
 
+def _reference_schedule_check(values, width):
+    """Reference validation: the start first, then range and rise position
+    by position.  Returns the values to store, or raises the ValueError
+    StepSchedule must raise."""
+    vs = tuple(int(v) for v in values)
+    if width < 2:
+        raise ValueError(f"width must be >= 2, got {width}")
+    if vs:
+        if vs[0] != 0:
+            raise ValueError(f"schedule must start at 0, got {vs[0]}")
+        cap = width - 2
+        prev = vs[0]
+        for i, v in enumerate(vs):
+            if v < 0 or v > cap:
+                raise ValueError(f"schedule value {v} at position {i} outside 0..{cap}")
+            if i and v > prev + 1:
+                raise ValueError(
+                    f"schedule rises from {prev} to {v} at position {i}"
+                )
+            prev = v
+    return vs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.integers(min_value=-2, max_value=6), st.booleans()),
+                min_size=0, max_size=10),
+       st.integers(min_value=1, max_value=7))
+def test_schedule_validation_matches_reference(values, width):
+    try:
+        expected = _reference_schedule_check(values, width)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            StepSchedule(tuple(values), width)
+        assert str(caught.value) == str(exc)
+        return
+    sched = StepSchedule(tuple(values), width)
+    assert sched.values == expected
+    assert all(type(v) is int for v in sched.values)
+
+
 @pytest.mark.parametrize("length,width,expected", [
     (2, 3, 2), (3, 3, 4), (3, 4, 5), (0, 5, 1), (1, 2, 1),
 ])
@@ -106,6 +145,33 @@ def test_count_matches_enumeration():
             assert count_schedules(length, width) == sum(
                 1 for _ in enumerate_schedules(length, width)
             )
+
+
+def _recursive_schedules(length, width):
+    """Reference enumeration: one recursive generator per position, each
+    trying every allowed value in increasing order."""
+    if length == 0:
+        yield ()
+        return
+    cap = width - 2
+    values = [0] * length
+
+    def rec(i):
+        if i == length:
+            yield tuple(values)
+            return
+        for v in range(0, min(values[i - 1] + 1, cap) + 1):
+            values[i] = v
+            yield from rec(i + 1)
+
+    yield from rec(1)
+
+
+def test_enumeration_order_matches_recursive_reference():
+    for length in range(0, 13):
+        for width in range(2, 14):
+            got = [s.values for s in enumerate_schedules(length, width)]
+            assert got == list(_recursive_schedules(length, width)), (length, width)
 
 
 def test_enumeration_guard():
@@ -247,7 +313,6 @@ def test_schedule_count_floor():
     for k in (16, 25, 36):
         t = int(k**0.5)
         assert count_schedules(k - 2 * t, t) > schedule_count_lower_bound_exact(k)
-    assert schedule_count_lower_bound(25) == pytest.approx(335.54432)
     with pytest.raises(ValueError):
         schedule_count_lower_bound_exact(15)
 
