@@ -5,10 +5,8 @@ families, and a verification CLI tying them together.
 """
 
 from .exactmath import (
-    BigRational,
     catalan,
     cycle_density,
-    density_growth_bounds,
     density_lower_exact,
     fixed_vertex_subtree_count,
     path_count_bounds,
@@ -35,7 +33,6 @@ from .graph_core import (
     enumerate_mops,
     fan,
     fan_path_count,
-    leaf_count,
     path_pattern,
     star_blowup,
     subgraph_count,
@@ -75,7 +72,6 @@ from .tree_engine import (
     greedy_tree,
     tree_canonical_form,
     weak_dual,
-    wiener,
 )
 
 __version__ = "0.1.0"

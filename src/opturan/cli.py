@@ -244,11 +244,11 @@ def _graph_output(args, command: str, params: dict, mop: graph_core.Mop) -> int:
 def _cmd_greedy(args) -> int:
     tree = tree_engine.greedy_tree(args.d, args.n)
     if args.format == "dot":
-        sys.stdout.write(tree_engine.tree_to_dot(tree))
+        sys.stdout.write(graph_core.graph_to_dot(tree, "T"))
         return 0
     if args.format == "json":
         _emit_json("greedy", {"d": args.d, "n": args.n},
-                   {"n": tree.n, "edges": [list(e) for e in tree.edges()]})
+                   {"n": tree.n, "edges": [list(e) for e in sorted(tree.edges)]})
         return 0
     sys.stdout.write(tree_engine.format_tree_text(tree))
     return 0

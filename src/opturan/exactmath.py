@@ -1,9 +1,7 @@
 """Exact integer and rational combinatorics behind the cycle-density constants.
 
 Everything here is computed with arbitrary-precision integers and
-`fractions.Fraction`; no floating point enters any value that a test or a
-report compares exactly.  Floats appear only in `density_growth_bounds`,
-and there only as a reporting convenience on top of exact rationals.
+`fractions.Fraction`; no floating point enters any value.
 
 The central objects:
 
@@ -28,30 +26,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 import threading
-from typing import NamedTuple
 
 __all__ = [
-    "BigRational",
     "catalan",
     "fixed_vertex_subtree_count",
     "SubtreeProfileTable",
     "subtree_profile_table",
     "subtree_density",
     "cycle_density",
-    "GrowthBounds",
-    "density_growth_bounds",
     "density_lower_exact",
     "PathCountBounds",
     "path_count_bounds",
     "rational_to_json",
     "rational_from_json",
 ]
-
-# Exact rational values.  fractions.Fraction already guarantees lowest terms,
-# a positive denominator and value equality, which is everything required of
-# the rational results exposed by this module.
-BigRational = Fraction
-
 
 @lru_cache(maxsize=None)
 def catalan(n: int) -> int:
@@ -167,11 +155,6 @@ def cycle_density(k: int) -> Fraction:
     return subtree_density(k - 2)
 
 
-class GrowthBounds(NamedTuple):
-    lower: float
-    upper: float
-
-
 def density_lower_exact(k: int) -> Fraction:
     """Exact rational lower bound on subtree_density(k) from the explicit
     subtree family: a full binary cap of q levels with an arbitrary
@@ -191,16 +174,6 @@ def density_lower_exact(k: int) -> Fraction:
     beta = k // block - 2
     levels_below = -(-k // block)  # ceil(k / 2^q)
     return Fraction(catalan(beta) ** block, 2 ** (q + levels_below + 1))
-
-
-def density_growth_bounds(k: int) -> GrowthBounds:
-    """Float (lower, upper) bracket for subtree_density(k): the explicit
-    family bound from below and 4^k from above.
-
-    Reporting only; exact comparisons go through density_lower_exact and
-    integer powers of 4.
-    """
-    return GrowthBounds(lower=float(density_lower_exact(k)), upper=float(4**k))
 
 
 class PathCountBounds:

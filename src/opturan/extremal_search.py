@@ -55,6 +55,7 @@ __all__ = [
     "NotCovered",
     "NOT_COVERED",
     "ExtremalResult",
+    "brute_force_many",
     "brute_force_maximum",
     "closed_form_maximum",
     "max_fixed_endpoint_paths",
@@ -93,7 +94,7 @@ class Pattern:
                 raise ValueError(f"path edge count must be >= 1, got {self.size}")
         elif self.kind == "tree":
             tree = Tree(self.n, self.edges)  # validates shape
-            object.__setattr__(self, "edges", tuple(tree.edges()))
+            object.__setattr__(self, "edges", tuple(sorted(tree.edges)))
         else:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
 
@@ -107,7 +108,7 @@ class Pattern:
 
     @classmethod
     def tree(cls, tree: Tree) -> "Pattern":
-        return cls(kind="tree", n=tree.n, edges=tuple(tree.edges()))
+        return cls(kind="tree", n=tree.n, edges=tree.edges)
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
@@ -647,6 +648,9 @@ def _checked_range(suite: str, key: str, lo: int, params: dict) -> range:
 def _suite_bounds_4k(params, jobs):
     density_ks = _checked_range("bounds-4k", "max_k_density", 1, params)
     path_ns = _checked_range("bounds-4k", "max_n_paths", 3, params)
+    if not params["gamma_ks"]:
+        raise ValueError(f"suite 'bounds-4k' checks nothing with gamma_ks="
+                         f"{params['gamma_ks']!r}: the schedule-count family is empty")
     cases = []
     bounds = exactmath.path_count_bounds(params["max_k_f"])
     bad = [k for k in range(params["max_k_f"] + 1)
@@ -707,8 +711,10 @@ def _suite_star_blowup(params, jobs):
 
 
 def _suite_constructions(params, jobs):
+    widths = _checked_range("constructions", "max_t", 1, params)
+    fan_bases = _checked_range("constructions", "max_n_base", 3, params)
     cases = []
-    for width in range(1, params["max_t"] + 1):
+    for width in widths:
         for base in range(2, params["max_n_base"] + 1):
             if base**width < 3:
                 continue
@@ -720,7 +726,7 @@ def _suite_constructions(params, jobs):
                 edge_count == 2 * n - 3,
                 detail="construction already validated as polygon + chords",
             ))
-    mismatched = [base for base in range(3, params["max_n_base"] + 1)
+    mismatched = [base for base in fan_bases
                   if numeral_paths.numeral_graph(base, 1).graph.edges
                   != fan(base).graph.edges]
     cases.append(CaseResult("width-1-equals-fan", 0, len(mismatched),

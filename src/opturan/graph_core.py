@@ -50,7 +50,6 @@ __all__ = [
     "fan_path_count",
     "triple_fan",
     "star_blowup",
-    "leaf_count",
     "canonical_chords",
     "parse_edge_list",
     "format_edge_list",
@@ -132,7 +131,7 @@ class Graph:
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"{type(self).__name__}(n={self.n}, m={len(self.edges)})"
 
 
 def _normalize_chord(n: int, pair) -> tuple[int, int]:
@@ -500,7 +499,7 @@ class PatternGraph:
     """A small connected pattern together with its automorphism count."""
 
     graph: Graph
-    automorphisms: int = 0
+    automorphisms: int = field(init=False)
 
     def __post_init__(self):
         if self.graph.n > PATTERN_SIZE_LIMIT:
@@ -509,8 +508,7 @@ class PatternGraph:
             )
         if not _is_connected(self.graph):
             raise ValueError("pattern must be connected")
-        if self.automorphisms == 0:
-            object.__setattr__(self, "automorphisms", _automorphism_count(self.graph))
+        object.__setattr__(self, "automorphisms", _automorphism_count(self.graph))
 
     @property
     def n(self) -> int:
@@ -606,10 +604,11 @@ def is_outerplanar_small(g: Graph) -> bool:
         return True
     if len(g.edges) > 2 * g.n - 3:
         return False
-    pat = PatternGraph(g, automorphisms=1)  # existence only, Aut irrelevant
+    if not _is_connected(g):
+        raise ValueError("pattern must be connected")
     # embedding into a host is invariant under relabeling it
     for mop in enumerate_mop_orbits(g.n):
-        if _count_injective_maps(mop.graph, pat.graph, stop_at=1):
+        if _count_injective_maps(mop.graph, g, stop_at=1):
             return True
     return False
 
@@ -655,11 +654,6 @@ def triple_fan(n: int) -> Mop:
             a, b = hub, j % n
             chords.add((a, b) if a < b else (b, a))
     return Mop(n, frozenset(chords))
-
-
-def leaf_count(g: Graph) -> int:
-    """Number of degree-one vertices."""
-    return sum(1 for v in range(g.n) if g.degree(v) == 1)
 
 
 def star_blowup(pattern: PatternGraph, s: int) -> Graph:

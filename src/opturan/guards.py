@@ -8,6 +8,8 @@ exposes this as ``--unsafe-scale``).
 
 from __future__ import annotations
 
+__all__ = ["ScaleLimitError", "check_limit"]
+
 
 class ScaleLimitError(ValueError):
     """An enumeration was requested beyond its desk-scale guard."""

@@ -9,8 +9,10 @@ Maximizing cycles over hosts therefore means maximizing k-subtree counts
 over trees with degrees at most 3, where breadth-first "greedy" trees are
 the known winners.
 
-Subtree counting is a rooted dynamic programme over truncated polynomials;
-everything else is plain breadth-first plumbing.
+`Tree` is a `Graph` validated as a tree, so adjacency, degrees, the edge
+set, equality and DOT output all come from `graph_core`.  Subtree counting
+is a rooted dynamic programme over truncated polynomials; canonical forms
+root at the centroid found from one pass of subtree sizes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph_core import Graph, Mop, count_cycles, graph_to_dot, parse_edge_list
+from .graph_core import Graph, Mop, _is_connected, count_cycles, parse_edge_list
 from .guards import check_limit
 
 __all__ = [
@@ -28,72 +30,31 @@ __all__ = [
     "count_subtrees",
     "count_subtrees_all",
     "count_subtrees_total",
-    "wiener",
     "enumerate_bounded_trees",
     "tree_canonical_form",
     "CycleSubtreeCounts",
     "cycle_subtree_counts",
     "parse_tree_text",
     "format_tree_text",
-    "tree_to_dot",
 ]
 
 TREE_ENUM_LIMIT = 12
 
 
-class Tree:
-    """Immutable tree on vertices 0..n-1."""
+class Tree(Graph):
+    """Immutable tree on vertices 0..n-1: a `Graph` validated as connected
+    with n-1 edges."""
 
-    __slots__ = ("n", "_adj", "max_degree")
+    __slots__ = ()
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError(f"tree needs at least 1 vertex, got {n}")
-        es = set()
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad tree edge ({u},{v})")
-            es.add((u, v) if u < v else (v, u))
-        if len(es) != n - 1:
-            raise ValueError(f"{len(es)} edges on {n} vertices; a tree has {n - 1}")
-        adj = [[] for _ in range(n)]
-        for u, v in es:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self.n = n
-        self.max_degree = max((len(a) for a in self._adj), default=0)
-        # n-1 edges + connectivity = acyclic; verify connectivity
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            v = stack.pop()
-            for w in self._adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    stack.append(w)
-        if reached != n:
+        super().__init__(n, edges)
+        if len(self.edges) != n - 1:
+            raise ValueError(f"{len(self.edges)} edges on {n} vertices; a tree has {n - 1}")
+        if not _is_connected(self):
             raise ValueError("edge set is not connected")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (v, w) for v in range(self.n) for w in self._adj[v] if v < w
-        )
-
-    def as_graph(self) -> Graph:
-        return Graph(self.n, self.edges())
-
-    def __repr__(self):
-        return f"Tree(n={self.n}, edges={self.edges()})"
 
 
 def weak_dual(mop: Mop) -> Tree:
@@ -202,25 +163,6 @@ def count_subtrees_total(tree: Tree) -> int:
     return sum(count_subtrees_all(tree))
 
 
-def wiener(tree: Tree) -> int:
-    """Sum of distances over all unordered vertex pairs."""
-    total = 0
-    for s in range(tree.n):
-        dist = [-1] * tree.n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in tree.neighbors(v):
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        total += sum(d for v, d in enumerate(dist) if v > s)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism-free generation
 # ---------------------------------------------------------------------------
@@ -233,44 +175,27 @@ def _rooted_form(tree: Tree, v: int, parent: int):
 def tree_canonical_form(tree: Tree):
     """Canonical nested-tuple form: root at the centroid, or combine the
     two rooted halves when a centroid edge exists.  Equal forms mean
-    isomorphic trees."""
+    isomorphic trees.
+
+    One postorder pass gives every subtree size; the largest component
+    left by deleting v is its largest child subtree or the rest above it.
+    """
     n = tree.n
     if n == 1:
         return ("v", ())
-    best_weight = None
-    centroids = []
-    for v in range(n):
-        weight = _max_component_without(tree, v)
-        if best_weight is None or weight < best_weight:
-            best_weight = weight
-            centroids = [v]
-        elif weight == best_weight:
-            centroids.append(v)
+    size = [1] * n
+    weight = [0] * n
+    for v, parent in _postorder(tree):
+        weight[v] = max(weight[v], n - size[v])
+        if parent >= 0:
+            size[parent] += size[v]
+            weight[parent] = max(weight[parent], size[v])
+    best = min(weight)
+    centroids = [v for v in range(n) if weight[v] == best]
     if len(centroids) == 1:
         return ("v", _rooted_form(tree, centroids[0], -1))
     a, b = centroids
     return ("e", tuple(sorted((_rooted_form(tree, a, b), _rooted_form(tree, b, a)))))
-
-
-def _max_component_without(tree: Tree, v: int) -> int:
-    best = 0
-    seen = [False] * tree.n
-    seen[v] = True
-    for w in tree.neighbors(v):
-        if seen[w]:
-            continue
-        count = 0
-        stack = [w]
-        seen[w] = True
-        while stack:
-            x = stack.pop()
-            count += 1
-            for y in tree.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        best = max(best, count)
-    return best
 
 
 @lru_cache(maxsize=64)
@@ -283,7 +208,7 @@ def _bounded_tree_classes(n: int, max_degree: int) -> tuple[Tree, ...]:
         for v in range(t.n):
             if t.degree(v) >= max_degree:
                 continue
-            grown = Tree(n, t.edges() + [(v, n - 1)])
+            grown = Tree(n, [*t.edges, (v, n - 1)])
             out.setdefault(tree_canonical_form(grown), grown)
     return tuple(out[key] for key in sorted(out))
 
@@ -318,7 +243,7 @@ def cycle_subtree_counts(mop: Mop, k: int) -> CycleSubtreeCounts:
 
 
 # ---------------------------------------------------------------------------
-# Text and DOT formats
+# Text format
 # ---------------------------------------------------------------------------
 
 def parse_tree_text(text: str) -> Tree:
@@ -345,6 +270,3 @@ def format_tree_text(tree: Tree) -> str:
         frontier = nxt
     return "\n".join(lines) + "\n"
 
-
-def tree_to_dot(tree: Tree, name: str = "T") -> str:
-    return graph_to_dot(tree.as_graph(), name)

@@ -240,7 +240,9 @@ def test_verify_exit_codes(capture):
                          ("bounds-4k", "max_n_paths=2"),
                          ("gamma", "max_t=1"),
                          ("gamma", "max_l=-1"),
-                         ("gamma", "max_l_products=0")):
+                         ("gamma", "max_l_products=0"),
+                         ("constructions", "max_t=0"),
+                         ("constructions", "max_n_base=2")):
         code, out, err = capture("verify", "--suite", suite, "--param", param)
         assert code == 2 and out == ""
         assert param in err and "is empty" in err

@@ -216,6 +216,8 @@ def test_suite_names_and_errors():
         verify_suite("injection", triples=1)
     with pytest.raises(ValueError, match="no cases"):
         verify_suite("catalan-identity", max_k=0)
+    with pytest.raises(ValueError, match=r"gamma_ks=\(\)"):
+        verify_suite("bounds-4k", gamma_ks=())
 
 
 def test_suite_param_override():

@@ -27,7 +27,6 @@ from opturan.graph_core import (
     format_edge_list,
     graph_to_dot,
     is_outerplanar_small,
-    leaf_count,
     parse_edge_list,
     path_histogram,
     path_pattern,
@@ -202,6 +201,10 @@ def test_automorphism_counts():
     assert cycle_pattern(5).automorphisms == 10
     assert path_pattern(3).automorphisms == 2
     assert PatternGraph(Graph(4, [(0, 1), (0, 2), (0, 3)])).automorphisms == 6
+    # always computed: a caller-supplied count would scale subgraph_count
+    with pytest.raises(TypeError):
+        PatternGraph(path_pattern(3).graph, automorphisms=1)
+    assert subgraph_count(fan(6).graph, path_pattern(3)) == 32
 
 
 def brute_force_automorphisms(g):
@@ -302,12 +305,8 @@ def test_is_outerplanar_small():
     assert not is_outerplanar_small(Graph(4, list(itertools.combinations(range(4), 2))))
     k23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert not is_outerplanar_small(k23)
-
-
-def test_leaf_count():
-    assert leaf_count(path_pattern(3).graph) == 2
-    assert leaf_count(Graph(4, [(0, 1), (0, 2), (0, 3)])) == 3
-    assert leaf_count(cycle_pattern(5).graph) == 0
+    with pytest.raises(ValueError, match="pattern must be connected"):
+        is_outerplanar_small(Graph(4, [(0, 1), (2, 3)]))
 
 
 # ---------------------------------------------------------------------------

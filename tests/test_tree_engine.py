@@ -2,11 +2,12 @@
 networkx free-tree generator."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
-from opturan.graph_core import Mop, enumerate_mops, fan, triple_fan
+from opturan.graph_core import Graph, Mop, enumerate_mops, fan, graph_to_dot, triple_fan
 from opturan.guards import ScaleLimitError
 from opturan.tree_engine import (
     Tree,
@@ -19,9 +20,7 @@ from opturan.tree_engine import (
     greedy_tree,
     parse_tree_text,
     tree_canonical_form,
-    tree_to_dot,
     weak_dual,
-    wiener,
 )
 
 
@@ -31,6 +30,25 @@ def path_tree(n):
 
 def star_tree(leaves):
     return Tree(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def wiener(tree):
+    """Sum of distances over all unordered vertex pairs."""
+    total = 0
+    for s in range(tree.n):
+        dist = [-1] * tree.n
+        dist[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in tree.neighbors(v):
+                    if dist[w] < 0:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        total += sum(d for v, d in enumerate(dist) if v > s)
+    return total
 
 
 def subtree_count_oracle(tree, k):
@@ -60,10 +78,15 @@ def test_tree_validation():
         Tree(3, [(0, 1)])
     with pytest.raises(ValueError):
         Tree(4, [(0, 1), (2, 3), (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not connected"):
         Tree(4, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="loop"):
+        Tree(3, [(0, 0), (1, 2)])
     assert Tree(1, []).n == 1
-    assert star_tree(3).max_degree == 3
+    assert star_tree(3).degree_sequence()[0] == 3
+    # a tree is a graph, compared by value
+    assert isinstance(path_tree(3), Graph)
+    assert path_tree(3) == Tree(3, [(2, 1), (0, 1)]) == Graph(3, [(0, 1), (1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +106,8 @@ def test_weak_dual_shape_for_all_small_hosts():
         for m in enumerate_mops(n):
             dual = weak_dual(m)
             assert dual.n == n - 2
-            assert dual.max_degree <= 3
-            assert len(dual.edges()) == n - 3
+            assert dual.degree_sequence()[0] <= 3
+            assert len(dual.edges) == n - 3
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +116,8 @@ def test_weak_dual_shape_for_all_small_hosts():
 
 def test_greedy_tree_small():
     assert tree_canonical_form(greedy_tree(3, 4)) == tree_canonical_form(star_tree(3))
-    assert greedy_tree(3, 2).edges() == [(0, 1)]
-    assert greedy_tree(2, 5).max_degree == 2  # degree bound 2 gives a path
+    assert greedy_tree(3, 2).edges == {(0, 1)}
+    assert greedy_tree(2, 5).degree_sequence()[0] == 2  # degree bound 2 gives a path
 
 
 def test_greedy_tree_levels():
@@ -177,6 +200,86 @@ def test_maximal_total_subtrees_minimize_wiener():
 
 
 # ---------------------------------------------------------------------------
+# Canonical forms
+# ---------------------------------------------------------------------------
+
+def reference_canonical_form(tree):
+    """Reference for tree_canonical_form that finds the centroid by one
+    flood fill per vertex, measuring the largest component left without it."""
+    def max_component_without(v):
+        best = 0
+        seen = [False] * tree.n
+        seen[v] = True
+        for w in tree.neighbors(v):
+            if seen[w]:
+                continue
+            count = 0
+            stack = [w]
+            seen[w] = True
+            while stack:
+                x = stack.pop()
+                count += 1
+                for y in tree.neighbors(x):
+                    if not seen[y]:
+                        seen[y] = True
+                        stack.append(y)
+            best = max(best, count)
+        return best
+
+    def rooted(v, parent):
+        return tuple(sorted(rooted(w, v) for w in tree.neighbors(v) if w != parent))
+
+    if tree.n == 1:
+        return ("v", ())
+    weights = [max_component_without(v) for v in range(tree.n)]
+    centroids = [v for v in range(tree.n) if weights[v] == min(weights)]
+    if len(centroids) == 1:
+        return ("v", rooted(centroids[0], -1))
+    a, b = centroids
+    return ("e", tuple(sorted((rooted(a, b), rooted(b, a)))))
+
+
+def random_labelled_trees(rng, count, max_n):
+    """Uniform trees from Pruefer codes, long thin trees, and two random
+    halves joined by an edge (so the centroid is an edge), each relabelled
+    at random."""
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        shape = rng.randrange(3)
+        if shape == 0 and n >= 3:
+            edges = list(nx.from_prufer_sequence(
+                [rng.randrange(n) for _ in range(n - 2)]).edges())
+        elif shape == 1:
+            edges = [(rng.randrange(max(0, v - 3), v), v) for v in range(1, n)]
+        else:
+            half = max(1, n // 2)
+            n = 2 * half
+            edges = [(rng.randrange(v), v) for v in range(1, half)]
+            edges += [(a + half, b + half) for a, b in edges] + [(0, half)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Tree(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def test_canonical_form_matches_flood_fill_centroids():
+    for n in range(1, 13):
+        for g in nx.nonisomorphic_trees(n):
+            tree = Tree(n, list(g.edges()))
+            assert tree_canonical_form(tree) == reference_canonical_form(tree)
+    rng = random.Random(20211)
+    for tree in random_labelled_trees(rng, 150, 200):
+        assert tree_canonical_form(tree) == reference_canonical_form(tree)
+
+
+def test_weak_duals_are_graphs():
+    for n in range(3, 10):
+        for m in enumerate_mops(n):
+            dual = weak_dual(m)
+            assert isinstance(dual, Graph)
+            assert dual == Graph(n - 2, dual.edges)
+
+
+# ---------------------------------------------------------------------------
 # Bounded-degree enumeration
 # ---------------------------------------------------------------------------
 
@@ -205,7 +308,7 @@ def test_enumerate_bounded_trees_matches_networkx():
 
 def test_enumerate_bounded_trees_respects_bound_and_guard():
     for t in enumerate_bounded_trees(8, 3):
-        assert t.max_degree <= 3
+        assert t.degree_sequence()[0] <= 3
     with pytest.raises(ScaleLimitError):
         list(enumerate_bounded_trees(13, 3))
 
@@ -245,11 +348,11 @@ def test_tree_text_round_trip():
     tree = greedy_tree(3, 7)
     again = parse_tree_text(format_tree_text(tree))
     assert tree_canonical_form(again) == tree_canonical_form(tree)
-    assert again.edges() == tree.edges()
+    assert again.edges == tree.edges
     with pytest.raises(ValueError):
         parse_tree_text("")
 
 
 def test_tree_dot():
-    dot = tree_to_dot(star_tree(3))
+    dot = graph_to_dot(star_tree(3), "T")
     assert "0 -- 1;" in dot and dot.startswith("graph T {")
