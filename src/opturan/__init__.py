@@ -22,18 +22,15 @@ from .graph_core import (
     InvalidChord,
     Mop,
     MopError,
-    PatternGraph,
     WrongChordCount,
     canonical_chords,
     count_cycles,
     count_paths,
     count_paths_between,
-    cycle_pattern,
     enumerate_mop_orbits,
     enumerate_mops,
     fan,
     fan_path_count,
-    path_pattern,
     star_blowup,
     subgraph_count,
     triple_fan,

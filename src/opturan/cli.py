@@ -278,20 +278,19 @@ def _cmd_gen(args) -> int:
     return _graph_output(args, "gen", params, mop)
 
 
+def _read_pattern(text: str) -> graph_core.Pattern:
+    """cycle:K | path:K | tree:FILE, the last read from a tree file."""
+    if text.startswith("tree:"):
+        with open(text[5:], encoding="utf-8") as fh:
+            return graph_core.Pattern.tree(tree_engine.parse_tree_text(fh.read()))
+    return graph_core.Pattern.parse(text)
+
+
 def _cmd_count(args) -> int:
     with open(args.graph, encoding="utf-8") as fh:
         g = graph_core.parse_edge_list(fh.read())
-    if args.pattern.startswith("tree:"):
-        with open(args.pattern[5:], encoding="utf-8") as fh:
-            tree = tree_engine.parse_tree_text(fh.read())
-        pattern = extremal_search.Pattern.tree(tree)
-        count = graph_core.subgraph_count(g, pattern.pattern_graph())
-    else:
-        pattern = extremal_search.Pattern.parse(args.pattern)
-        if pattern.kind == "cycle":
-            count = graph_core.count_cycles(g, pattern.size)
-        else:
-            count = graph_core.count_paths(g, pattern.size)
+    pattern = _read_pattern(args.pattern)
+    (count,) = graph_core.count_patterns(g, [pattern])
     params = {"graph": args.graph, "pattern": args.pattern}
     if args.format == "json":
         _emit_json("count", params, {"count": count})
@@ -357,12 +356,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    if args.pattern.startswith("tree:"):
-        with open(args.pattern[5:], encoding="utf-8") as fh:
-            pattern = extremal_search.Pattern.tree(
-                tree_engine.parse_tree_text(fh.read()))
-    else:
-        pattern = extremal_search.Pattern.parse(args.pattern)
+    pattern = _read_pattern(args.pattern)
     limit = None if args.unsafe_scale else 0
     if args.unsafe_scale:
         print("warning: --unsafe-scale lifts the brute-force guard",

@@ -22,13 +22,13 @@ from typing import Callable, Iterable, NamedTuple
 from . import exactmath, numeral_paths
 from .exactmath import catalan, cycle_density, fixed_vertex_subtree_count
 from .graph_core import (
-    Graph,
     Mop,
-    PatternGraph,
+    Pattern,
+    Tree,
     canonical_chords,
     count_paths,
+    count_patterns,
     cycle_histogram,
-    cycle_pattern,
     enumerate_mop_orbits,
     enumerate_mops,
     fan,
@@ -37,12 +37,10 @@ from .graph_core import (
     paths_between_histogram,
     subgraph_count,
     star_blowup,
-    path_pattern,
     triple_fan,
 )
 from .guards import check_limit
 from .tree_engine import (
-    Tree,
     count_subtrees,
     count_subtrees_all,
     enumerate_bounded_trees,
@@ -69,69 +67,6 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 11       # host size for cycle/path sweeps
 BRUTE_FORCE_TREE_LIMIT = 9   # host size for generic tree patterns
-
-
-# ---------------------------------------------------------------------------
-# Patterns
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pattern:
-    """What to count in a host: a cycle by vertex count, a path by edge
-    count, or an arbitrary connected tree given by its edges."""
-
-    kind: str
-    size: int = 0
-    n: int = 0
-    edges: tuple = ()
-
-    def __post_init__(self):
-        if self.kind == "cycle":
-            if self.size < 3:
-                raise ValueError(f"cycle length must be >= 3, got {self.size}")
-        elif self.kind == "path":
-            if self.size < 1:
-                raise ValueError(f"path edge count must be >= 1, got {self.size}")
-        elif self.kind == "tree":
-            tree = Tree(self.n, self.edges)  # validates shape
-            object.__setattr__(self, "edges", tuple(sorted(tree.edges)))
-        else:
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-
-    @classmethod
-    def cycle(cls, k: int) -> "Pattern":
-        return cls(kind="cycle", size=k)
-
-    @classmethod
-    def path(cls, edges: int) -> "Pattern":
-        return cls(kind="path", size=edges)
-
-    @classmethod
-    def tree(cls, tree: Tree) -> "Pattern":
-        return cls(kind="tree", n=tree.n, edges=tree.edges)
-
-    @classmethod
-    def parse(cls, text: str) -> "Pattern":
-        """cycle:K | path:K (K = edge count) | patterns read from files are
-        built with Pattern.tree by the caller."""
-        kind, _, arg = text.partition(":")
-        if kind in ("cycle", "path") and arg.isdigit():
-            return cls.cycle(int(arg)) if kind == "cycle" else cls.path(int(arg))
-        raise ValueError(f"cannot parse pattern {text!r}; want cycle:K or path:K")
-
-    def describe(self) -> str:
-        if self.kind == "cycle":
-            return f"cycle:{self.size}"
-        if self.kind == "path":
-            return f"path:{self.size}"
-        return f"tree:n={self.n}"
-
-    def pattern_graph(self) -> PatternGraph:
-        if self.kind == "cycle":
-            return cycle_pattern(self.size)
-        if self.kind == "path":
-            return path_pattern(self.size)
-        return PatternGraph(Graph(self.n, self.edges))
 
 
 class NotCovered:
@@ -172,31 +107,12 @@ class ExtremalResult:
         }
 
 
-def _counts_for(g: Graph, patterns: tuple[Pattern, ...],
-                pattern_graphs: dict) -> list[int]:
-    cyc = [p.size for p in patterns if p.kind == "cycle"]
-    pth = [p.size for p in patterns if p.kind == "path"]
-    chist = cycle_histogram(g, max_k=max(cyc)) if cyc else {}
-    phist = path_histogram(g, max_edges=max(pth)) if pth else {}
-    out = []
-    for i, p in enumerate(patterns):
-        if p.kind == "cycle":
-            out.append(chist.get(p.size, 0))
-        elif p.kind == "path":
-            out.append(phist.get(p.size, 0))
-        else:
-            out.append(subgraph_count(g, pattern_graphs[i]))
-    return out
-
-
 def _scan_partition(n: int, patterns: tuple[Pattern, ...],
                     first_apex: int | None) -> list[tuple[int, list]]:
-    pattern_graphs = {i: p.pattern_graph() for i, p in enumerate(patterns)
-                      if p.kind == "tree"}
     best = [-1] * len(patterns)
     arg: list[list] = [[] for _ in patterns]
     for mop in enumerate_mops(n, limit=None, first_apex=first_apex):
-        counts = _counts_for(mop.graph, patterns, pattern_graphs)
+        counts = count_patterns(mop.graph, patterns)
         for i, c in enumerate(counts):
             if c > best[i]:
                 best[i] = c
@@ -206,17 +122,12 @@ def _scan_partition(n: int, patterns: tuple[Pattern, ...],
     return list(zip(best, arg))
 
 
-def _scan_worker(args):
-    n, patterns, apex = args
-    return _scan_partition(n, patterns, apex)
-
-
 def _scan_all(n: int, patterns: tuple[Pattern, ...], jobs: int) -> list[tuple[int, list]]:
     if jobs <= 1 or n < 4:
         return _scan_partition(n, patterns, None)
     apexes = list(range(1, n - 1))
     with multiprocessing.Pool(min(jobs, len(apexes))) as pool:
-        parts = pool.map(_scan_worker, [(n, patterns, a) for a in apexes])
+        parts = pool.starmap(_scan_partition, [(n, patterns, a) for a in apexes])
     merged: list[tuple[int, list]] = [(-1, []) for _ in patterns]
     for part in parts:  # apex order keeps the merge deterministic
         for i, (b, a) in enumerate(part):
@@ -235,10 +146,12 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
     limit=0 picks the guard matching the pattern kinds; None disables it.
     """
     patterns = tuple(patterns)
+    trees = [p for p in patterns if p.kind == "tree"]
     if limit == 0:
-        limit = (BRUTE_FORCE_TREE_LIMIT if any(p.kind == "tree" for p in patterns)
-                 else BRUTE_FORCE_LIMIT)
+        limit = BRUTE_FORCE_TREE_LIMIT if trees else BRUTE_FORCE_LIMIT
     check_limit(n, limit, "brute-force host size n")
+    for p in trees:  # size guard before the first host; workers get the count
+        p.automorphisms
     results = []
     canon: dict[tuple, tuple] = {}  # each maximizer host canonicalised once
     for pattern, (best, argmax) in zip(patterns, _scan_all(n, patterns, jobs)):
@@ -698,9 +611,9 @@ def _suite_limit_bounds(params, jobs):
 
 def _suite_star_blowup(params, jobs):
     probes = [
-        ("P4", path_pattern(3), 5, 25),
-        ("P3", path_pattern(2), 3, 9),
-        ("K13", PatternGraph(Graph(4, [(0, 1), (0, 2), (0, 3)])), 2, 8),
+        ("P4", Pattern.path(3), 5, 25),
+        ("P3", Pattern.path(2), 3, 9),
+        ("K13", Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)])), 2, 8),
     ]
     cases = []
     for name, pattern, s, floor in probes:

@@ -19,7 +19,7 @@ be fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -32,10 +32,9 @@ __all__ = [
     "CrossingChords",
     "WrongChordCount",
     "Graph",
+    "Tree",
     "Mop",
-    "PatternGraph",
-    "cycle_pattern",
-    "path_pattern",
+    "Pattern",
     "enumerate_mops",
     "enumerate_mop_orbits",
     "count_cycles",
@@ -45,6 +44,7 @@ __all__ = [
     "count_paths_between",
     "paths_between_histogram",
     "subgraph_count",
+    "count_patterns",
     "is_outerplanar_small",
     "fan",
     "fan_path_count",
@@ -132,6 +132,29 @@ class Graph:
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, m={len(self.edges)})"
+
+
+class Tree(Graph):
+    """Immutable tree on vertices 0..n-1: a `Graph` validated as connected
+    with n-1 edges."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 1:
+            raise ValueError(f"tree needs at least 1 vertex, got {n}")
+        super().__init__(n, edges)
+        if len(self.edges) != n - 1:
+            raise ValueError(f"{len(self.edges)} edges on {n} vertices; a tree has {n - 1}")
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != n:
+            raise ValueError("edge set is not connected")
 
 
 def _normalize_chord(n: int, pair) -> tuple[int, int]:
@@ -254,16 +277,18 @@ def _mop_triangles(n: int, chords: frozenset) -> tuple[tuple[int, int, int], ...
 # Triangulation enumeration
 # ---------------------------------------------------------------------------
 
-def _triangulation_chords(vs: tuple[int, ...]) -> Iterator[frozenset]:
+def _triangulation_chords(vs: tuple[int, ...],
+                          apexes: tuple[int, ...] | None = None) -> Iterator[frozenset]:
     """All triangulations of the convex polygon on the (cyclically ordered)
     vertex labels vs, as chord sets.  Recursion on the edge (vs[0], vs[-1]):
-    pick the apex of its triangle, then triangulate both sides.
+    pick the apex of its triangle, then triangulate both sides.  apexes,
+    if given, restricts the top-level pick to those positions of vs.
     """
     if len(vs) < 3:
         yield frozenset()
         return
     a, b = vs[0], vs[-1]
-    for i in range(1, len(vs) - 1):
+    for i in range(1, len(vs) - 1) if apexes is None else apexes:
         m = vs[i]
         extra = []
         if i >= 2:
@@ -288,22 +313,11 @@ def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     check_limit(n, limit, "polygon size n")
-    vs = tuple(range(n))
-    if first_apex is None:
-        for chords in _triangulation_chords(vs):
-            yield Mop(n, chords)
-        return
-    if not (1 <= first_apex <= n - 2):
+    if first_apex is not None and not (1 <= first_apex <= n - 2):
         raise ValueError(f"first_apex must be in 1..{n - 2}, got {first_apex}")
-    i = first_apex
-    extra = []
-    if i >= 2:
-        extra.append((0, i))
-    if n - 1 - i >= 2:
-        extra.append((i, n - 1))
-    for left in _triangulation_chords(vs[: i + 1]):
-        for right in _triangulation_chords(vs[i:]):
-            yield Mop(n, left | right | frozenset(extra))
+    apexes = None if first_apex is None else (first_apex,)
+    for chords in _triangulation_chords(tuple(range(n)), apexes):
+        yield Mop(n, chords)
 
 
 def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
@@ -436,102 +450,90 @@ def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:
 # Generic pattern counting
 # ---------------------------------------------------------------------------
 
-PATTERN_SIZE_LIMIT = 10  # automorphism search is plain backtracking
-
-
-def _automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group, by backtracking over degree-
-    compatible assignments (fine for the small patterns used here)."""
-    n = g.n
-    deg = [g.degree(v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
-    image = [-1] * n
-    used = [False] * n
-    count = 0
-
-    def place(i: int):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
-        v = order[i]
-        for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for x in g.neighbors(v):
-                if image[x] != -1 and not g.adjacent(image[x], w):
-                    ok = False
-                    break
-            if ok:
-                # preserve non-edges too: check mapped non-neighbours
-                for y in order[:i]:
-                    if not g.adjacent(v, y) and g.adjacent(w, image[y]):
-                        ok = False
-                        break
-            if ok:
-                image[v] = w
-                used[w] = True
-                place(i + 1)
-                used[w] = False
-                image[v] = -1
-
-    place(0)
-    return count
-
-
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+PATTERN_SIZE_LIMIT = 10  # embedding and automorphism search is plain backtracking
 
 
 @dataclass(frozen=True)
-class PatternGraph:
-    """A small connected pattern together with its automorphism count."""
+class Pattern:
+    """What to count in a host: a cycle by vertex count, a path by edge
+    count, or a tree given by its edges.
 
-    graph: Graph
-    automorphisms: int = field(init=False)
+    `graph` and `automorphisms` serve the generic embedding counter; each
+    is built on first use, once per pattern, so cycle and path sweeps
+    never build them.
+    """
+
+    kind: str
+    size: int = 0
+    n: int = 0
+    edges: tuple = ()
 
     def __post_init__(self):
-        if self.graph.n > PATTERN_SIZE_LIMIT:
-            raise ValueError(
-                f"pattern on {self.graph.n} vertices exceeds the guard {PATTERN_SIZE_LIMIT}"
-            )
-        if not _is_connected(self.graph):
-            raise ValueError("pattern must be connected")
-        object.__setattr__(self, "automorphisms", _automorphism_count(self.graph))
+        if self.kind == "cycle":
+            if self.size < 3:
+                raise ValueError(f"cycle length must be >= 3, got {self.size}")
+        elif self.kind == "path":
+            if self.size < 1:
+                raise ValueError(f"path edge count must be >= 1, got {self.size}")
+        elif self.kind == "tree":
+            tree = Tree(self.n, self.edges)  # validates shape
+            object.__setattr__(self, "edges", tuple(sorted(tree.edges)))
+        else:
+            raise ValueError(f"unknown pattern kind {self.kind!r}")
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
+    @classmethod
+    def cycle(cls, k: int) -> "Pattern":
+        return cls(kind="cycle", size=k)
 
+    @classmethod
+    def path(cls, edges: int) -> "Pattern":
+        return cls(kind="path", size=edges)
 
-def cycle_pattern(k: int) -> PatternGraph:
-    """The k-vertex cycle as a pattern."""
-    if k < 3:
-        raise ValueError(f"cycle length must be >= 3, got {k}")
-    return PatternGraph(Graph(k, [(i, (i + 1) % k) for i in range(k)]))
+    @classmethod
+    def tree(cls, tree: Tree) -> "Pattern":
+        return cls(kind="tree", n=tree.n, edges=tree.edges)
 
+    @classmethod
+    def parse(cls, text: str) -> "Pattern":
+        """cycle:K | path:K (K = edge count) | patterns read from files are
+        built with Pattern.tree by the caller."""
+        kind, _, arg = text.partition(":")
+        if kind in ("cycle", "path") and arg.isdigit():
+            return cls.cycle(int(arg)) if kind == "cycle" else cls.path(int(arg))
+        raise ValueError(f"cannot parse pattern {text!r}; want cycle:K or path:K")
 
-def path_pattern(edges: int) -> PatternGraph:
-    """The path with the given edge count as a pattern."""
-    if edges < 1:
-        raise ValueError(f"path edge count must be >= 1, got {edges}")
-    return PatternGraph(Graph(edges + 1, [(i, i + 1) for i in range(edges)]))
+    def describe(self) -> str:
+        if self.kind == "cycle":
+            return f"cycle:{self.size}"
+        if self.kind == "path":
+            return f"path:{self.size}"
+        return f"tree:n={self.n}"
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The pattern as a plain graph, size-guarded for the generic
+        counter."""
+        if self.kind == "cycle":
+            g = Graph(self.size, [(i, (i + 1) % self.size) for i in range(self.size)])
+        elif self.kind == "path":
+            g = Graph(self.size + 1, [(i, i + 1) for i in range(self.size)])
+        else:
+            g = Graph(self.n, self.edges)
+        if g.n > PATTERN_SIZE_LIMIT:
+            raise ValueError(f"pattern on {g.n} vertices exceeds the guard {PATTERN_SIZE_LIMIT}")
+        return g
+
+    @cached_property
+    def automorphisms(self) -> int:
+        """Order of the automorphism group.  An injective edge-preserving
+        map of a finite graph into itself permutes its edges, so it is an
+        automorphism."""
+        return _count_injective_maps(self.graph, self.graph)
 
 
 def _embedding_order(h: Graph) -> list[int]:
-    """Pattern vertices ordered so each one after the first touches an
-    earlier one (patterns are connected)."""
+    """Pattern vertices ordered so each one touches an earlier one; only
+    when no unplaced vertex does, the next one starts a new component."""
     order = [max(range(h.n), key=lambda v: (h.degree(v), -v))]
     placed = set(order)
     while len(order) < h.n:
@@ -539,7 +541,11 @@ def _embedding_order(h: Graph) -> list[int]:
             (v for v in range(h.n) if v not in placed
              and any(w in placed for w in h.neighbors(v))),
             key=lambda v: (sum(w in placed for w in h.neighbors(v)), h.degree(v), -v),
+            default=None,
         )
+        if nxt is None:
+            nxt = max((v for v in range(h.n) if v not in placed),
+                      key=lambda v: (h.degree(v), -v))
         order.append(nxt)
         placed.add(nxt)
     return order
@@ -583,29 +589,41 @@ def _count_injective_maps(g: Graph, h: Graph, stop_at: int | None = None) -> int
     return count
 
 
-def subgraph_count(g: Graph, pattern: PatternGraph) -> int:
+def subgraph_count(g: Graph, pattern: Pattern) -> int:
     """Number of subgraphs of g isomorphic to the pattern: injective
     edge-preserving maps divided by the pattern's automorphism count."""
-    if pattern.n > g.n:
+    h = pattern.graph  # the size guard fires even when the host is smaller
+    if h.n > g.n:
         return 0
-    maps = _count_injective_maps(g, pattern.graph)
-    q, r = divmod(maps, pattern.automorphisms)
+    q, r = divmod(_count_injective_maps(g, h), pattern.automorphisms)
     if r:  # cannot happen; embeddings come in automorphism orbits
         raise ArithmeticError("embedding count not divisible by automorphism count")
     return q
 
 
+def count_patterns(g: Graph, patterns) -> list[int]:
+    """The count of each pattern in g.  All cycles share one walk and all
+    paths another, each up to the longest one asked for; trees go to the
+    generic embedding counter."""
+    cyc = [p.size for p in patterns if p.kind == "cycle"]
+    pth = [p.size for p in patterns if p.kind == "path"]
+    chist = cycle_histogram(g, max_k=max(cyc)) if cyc else {}
+    phist = path_histogram(g, max_edges=max(pth)) if pth else {}
+    return [chist.get(p.size, 0) if p.kind == "cycle"
+            else phist.get(p.size, 0) if p.kind == "path"
+            else subgraph_count(g, p) for p in patterns]
+
+
 def is_outerplanar_small(g: Graph) -> bool:
-    """Desk-scale outerplanarity test: a connected graph on n >= 3 vertices
-    is outerplanar iff it embeds into some triangulation of the n-gon."""
+    """Desk-scale outerplanarity test: a graph on n >= 3 vertices,
+    connected or not, is outerplanar iff it embeds into some triangulation
+    of the n-gon."""
     if g.n > 8:
         raise ValueError(f"outerplanarity check guarded at 8 vertices, got {g.n}")
     if g.n <= 2:
         return True
     if len(g.edges) > 2 * g.n - 3:
         return False
-    if not _is_connected(g):
-        raise ValueError("pattern must be connected")
     # embedding into a host is invariant under relabeling it
     for mop in enumerate_mop_orbits(g.n):
         if _count_injective_maps(mop.graph, g, stop_at=1):
@@ -656,19 +674,17 @@ def triple_fan(n: int) -> Mop:
     return Mop(n, frozenset(chords))
 
 
-def star_blowup(pattern: PatternGraph, s: int) -> Graph:
+def star_blowup(pattern: Pattern, s: int) -> Graph:
     """Replace every pendant edge of the pattern by a star of s fresh
     leaves on the pendant edge's internal endpoint.
 
     Any of the s leaves can play the original leaf's role, so the result
     carries at least s^(number of leaves) copies of the pattern.  Requires
-    an outerplanar pattern with at least one internal vertex.
+    a pattern with at least one internal vertex.
     """
     if s < 1:
         raise ValueError(f"star size must be >= 1, got {s}")
     h = pattern.graph
-    if not is_outerplanar_small(h):
-        raise ValueError("pattern is not outerplanar")
     leaves = [v for v in range(h.n) if h.degree(v) == 1]
     if h.n - len(leaves) < 1:
         raise ValueError("pattern has no internal vertex to anchor the stars")

@@ -9,18 +9,19 @@ Maximizing cycles over hosts therefore means maximizing k-subtree counts
 over trees with degrees at most 3, where breadth-first "greedy" trees are
 the known winners.
 
-`Tree` is a `Graph` validated as a tree, so adjacency, degrees, the edge
-set, equality and DOT output all come from `graph_core`.  Subtree counting
-is a rooted dynamic programme over truncated polynomials; canonical forms
-root at the centroid found from one pass of subtree sizes.
+`Tree` is defined in `graph_core` and re-exported here: a `Graph`
+validated as a tree, so adjacency, degrees, the edge set, equality and DOT
+output all come from there.  Subtree counting is a rooted dynamic
+programme over truncated polynomials; canonical forms root at the
+centroid found from one pass of subtree sizes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .graph_core import Graph, Mop, _is_connected, count_cycles, parse_edge_list
+from .graph_core import Mop, Tree, count_cycles, parse_edge_list
 from .guards import check_limit
 
 __all__ = [
@@ -39,22 +40,6 @@ __all__ = [
 ]
 
 TREE_ENUM_LIMIT = 12
-
-
-class Tree(Graph):
-    """Immutable tree on vertices 0..n-1: a `Graph` validated as connected
-    with n-1 edges."""
-
-    __slots__ = ()
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise ValueError(f"tree needs at least 1 vertex, got {n}")
-        super().__init__(n, edges)
-        if len(self.edges) != n - 1:
-            raise ValueError(f"{len(self.edges)} edges on {n} vertices; a tree has {n - 1}")
-        if not _is_connected(self):
-            raise ValueError("edge set is not connected")
 
 
 def weak_dual(mop: Mop) -> Tree:

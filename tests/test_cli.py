@@ -130,6 +130,21 @@ def test_count_cycle_path_and_tree(capture, tmp_path):
         assert (code, out, err) == (0, f"{expected}\n", "")
 
 
+def test_tree_pattern_size_guard(capture, tmp_path):
+    # the guard fires even where every host is smaller than the pattern
+    tree_file = tmp_path / "p11.txt"
+    tree_file.write_text("11\n" + "".join(f"{i} {i + 1}\n" for i in range(10)))
+    graph_file = tmp_path / "fan8.txt"
+    graph_file.write_text(capture("gen", "--fan", "8")[1])
+    message = "pattern on 11 vertices exceeds the guard 10"
+    code, out, err = capture("count", "--graph", str(graph_file),
+                             "--pattern", f"tree:{tree_file}")
+    assert (code, out) == (2, "") and message in err
+    for n in ("9", "2"):  # n = 2 has no host at all
+        code, out, err = capture("extremal", "-n", n, "--pattern", f"tree:{tree_file}")
+        assert (code, out) == (2, "") and message in err
+
+
 def test_count_missing_file(capture):
     code, _, err = capture("count", "--graph", "/nonexistent/g.txt",
                            "--pattern", "cycle:3")

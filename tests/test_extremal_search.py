@@ -48,7 +48,7 @@ def test_pattern_parse_and_describe():
 def test_tree_pattern():
     spider = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
     assert spider.describe() == "tree:n=4"
-    assert spider.pattern_graph().automorphisms == 6
+    assert spider.automorphisms == 6
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_brute_force_dedup_toggle():
 def test_brute_force_tree_pattern_against_direct_scan():
     spider = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
     res = brute_force_maximum(7, spider)
-    direct = max(subgraph_count(m.graph, spider.pattern_graph())
+    direct = max(subgraph_count(m.graph, spider)
                  for m in enumerate_mops(7))
     assert res.maximum == direct
 
@@ -88,6 +88,15 @@ def test_brute_force_jobs_match_serial():
     serial = brute_force_maximum(8, Pattern.path(3), jobs=1)
     parallel = brute_force_maximum(8, Pattern.path(3), jobs=3)
     assert serial == parallel
+
+
+def test_tree_pattern_jobs_match_serial():
+    # the pattern's lazily built graph and automorphism count cross a pickle
+    spider = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
+    serial = brute_force_maximum(7, spider)
+    parallel = brute_force_maximum(7, spider, jobs=2)
+    assert serial == parallel
+    assert parallel.maximum > 0
 
 
 def test_brute_force_guards():

@@ -12,14 +12,15 @@ from opturan.graph_core import (
     Graph,
     InvalidChord,
     Mop,
-    PatternGraph,
+    Pattern,
+    Tree,
     WrongChordCount,
+    _count_injective_maps,
     canonical_chords,
     count_cycles,
     count_paths,
     count_paths_between,
     cycle_histogram,
-    cycle_pattern,
     enumerate_mop_orbits,
     enumerate_mops,
     fan,
@@ -29,7 +30,6 @@ from opturan.graph_core import (
     is_outerplanar_small,
     parse_edge_list,
     path_histogram,
-    path_pattern,
     star_blowup,
     subgraph_count,
     triple_fan,
@@ -178,10 +178,10 @@ def test_count_paths_between_examples():
 
 
 def test_subgraph_count_examples():
-    assert subgraph_count(Mop(3).graph, path_pattern(2)) == 3
-    assert subgraph_count(fan(6).graph, cycle_pattern(3)) == 4
+    assert subgraph_count(Mop(3).graph, Pattern.path(2)) == 3
+    assert subgraph_count(fan(6).graph, Pattern.cycle(3)) == 4
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert subgraph_count(star, path_pattern(2)) == 3
+    assert subgraph_count(star, Pattern.path(2)) == 3
 
 
 def test_counting_routes_agree_on_all_small_hosts():
@@ -192,19 +192,23 @@ def test_counting_routes_agree_on_all_small_hosts():
             chist = cycle_histogram(g)
             phist = path_histogram(g)
             for k in range(3, n + 1):
-                assert chist.get(k, 0) == subgraph_count(g, cycle_pattern(k))
+                assert chist.get(k, 0) == subgraph_count(g, Pattern.cycle(k))
             for k in range(1, n):
-                assert phist.get(k, 0) == subgraph_count(g, path_pattern(k))
+                assert phist.get(k, 0) == subgraph_count(g, Pattern.path(k))
+
+
+def star_tree():
+    return Tree(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def test_automorphism_counts():
-    assert cycle_pattern(5).automorphisms == 10
-    assert path_pattern(3).automorphisms == 2
-    assert PatternGraph(Graph(4, [(0, 1), (0, 2), (0, 3)])).automorphisms == 6
+    assert Pattern.cycle(5).automorphisms == 10
+    assert Pattern.path(3).automorphisms == 2
+    assert Pattern.tree(star_tree()).automorphisms == 6
     # always computed: a caller-supplied count would scale subgraph_count
     with pytest.raises(TypeError):
-        PatternGraph(path_pattern(3).graph, automorphisms=1)
-    assert subgraph_count(fan(6).graph, path_pattern(3)) == 32
+        Pattern(kind="path", size=3, automorphisms=1)
+    assert subgraph_count(fan(6).graph, Pattern.path(3)) == 32
 
 
 def brute_force_automorphisms(g):
@@ -217,16 +221,21 @@ def brute_force_automorphisms(g):
 
 
 def test_automorphisms_against_permutation_scan():
-    probes = [
-        cycle_pattern(4).graph,
-        cycle_pattern(6).graph,
-        path_pattern(4).graph,
-        Graph(4, [(0, 1), (0, 2), (0, 3)]),
-        k4_minus_edge(),
-        triple_fan(6).graph,
-    ]
-    for g in probes:
-        assert PatternGraph(g).automorphisms == brute_force_automorphisms(g)
+    for pattern in (Pattern.cycle(4), Pattern.cycle(6), Pattern.path(4),
+                    Pattern.tree(star_tree())):
+        assert pattern.automorphisms == brute_force_automorphisms(pattern.graph)
+    k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+    for g in (k4, k4_minus_edge(), triple_fan(6).graph, fan(7).graph):
+        assert _count_injective_maps(g, g) == brute_force_automorphisms(g)
+
+
+def test_pattern_graph_is_plain_and_built_once():
+    pattern = Pattern.tree(star_tree())
+    assert type(pattern.graph) is Graph
+    assert pattern.graph is pattern.graph
+    assert pattern.graph == star_tree()
+    with pytest.raises(ValueError, match="pattern on 11 vertices exceeds the guard 10"):
+        subgraph_count(fan(5).graph, Pattern.path(10))
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,29 +293,30 @@ def test_triple_fan_validates_at_desk_scale():
 
 
 def test_star_blowup_counts():
-    blown = star_blowup(path_pattern(3), 5)
-    assert subgraph_count(blown, path_pattern(3)) >= 25
-    assert subgraph_count(star_blowup(path_pattern(2), 3), path_pattern(2)) >= 9
-    star = PatternGraph(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    blown = star_blowup(Pattern.path(3), 5)
+    assert subgraph_count(blown, Pattern.path(3)) >= 25
+    assert subgraph_count(star_blowup(Pattern.path(2), 3), Pattern.path(2)) >= 9
+    star = Pattern.tree(star_tree())
     assert subgraph_count(star_blowup(star, 2), star) >= 8
 
 
 def test_star_blowup_rejects_bad_patterns():
-    k4 = PatternGraph(Graph(4, list(itertools.combinations(range(4), 2))))
     with pytest.raises(ValueError):
-        star_blowup(k4, 2)
-    with pytest.raises(ValueError):
-        star_blowup(path_pattern(1), 2)  # no internal vertex
+        star_blowup(Pattern.path(1), 2)  # no internal vertex
 
 
 def test_is_outerplanar_small():
     assert is_outerplanar_small(fan(6).graph)
-    assert is_outerplanar_small(cycle_pattern(5).graph)
-    assert not is_outerplanar_small(Graph(4, list(itertools.combinations(range(4), 2))))
+    assert is_outerplanar_small(Pattern.cycle(5).graph)
+    k4 = list(itertools.combinations(range(4), 2))
+    assert not is_outerplanar_small(Graph(4, k4))
     k23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert not is_outerplanar_small(k23)
-    with pytest.raises(ValueError, match="pattern must be connected"):
-        is_outerplanar_small(Graph(4, [(0, 1), (2, 3)]))
+    # a disconnected graph is outerplanar iff every component is
+    assert is_outerplanar_small(Graph(4, [(0, 1), (2, 3)]))
+    assert is_outerplanar_small(Graph(2, []))
+    assert not is_outerplanar_small(Graph(6, itertools.combinations(range(5), 2)))
+    assert not is_outerplanar_small(Graph(5, k4))  # reaches the embedding search
 
 
 # ---------------------------------------------------------------------------
