@@ -22,6 +22,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import exactmath, numeral_paths
 from .exactmath import catalan, cycle_density, fixed_vertex_subtree_count
 from .graph_core import (
+    MOP_ENUM_LIMIT,
     Mop,
     Pattern,
     Tree,
@@ -343,6 +344,7 @@ def _suite_catalan_identity(params, jobs):
 
 
 def _suite_cycle_closed_forms(params, jobs):
+    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
     for n in range(3, params["max_n"] + 1):
         ks = [k for k in (3, 4, 5, 6) if n >= k]
@@ -383,6 +385,7 @@ def _suite_cycle_closed_forms(params, jobs):
 
 
 def _suite_cycle_bijection(params, jobs):
+    check_limit(params["max_n"], MOP_ENUM_LIMIT, "polygon size n")
     cases = []
     for n in range(3, params["max_n"] + 1):
         mismatches = 0
@@ -401,6 +404,7 @@ def _suite_cycle_bijection(params, jobs):
 
 
 def _suite_greedy_optimality(params, jobs):
+    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
     for n in range(3, params["max_n"] + 1):
         patterns = [Pattern.cycle(k) for k in range(3, n + 1)]
@@ -419,6 +423,7 @@ def _suite_greedy_optimality(params, jobs):
 
 
 def _suite_p3_exact(params, jobs):
+    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
     for n in range(4, params["max_n"] + 1):
         res = brute_force_maximum(n, Pattern.path(2), dedup=True, jobs=jobs)

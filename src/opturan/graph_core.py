@@ -7,19 +7,24 @@ subgraph counts only grow under edge addition, so all maximization runs
 range over polygon triangulations.
 
 Counting is deliberately dumb and trustworthy.  One iterative walk over
-simple paths serves all path and cycle counters: a path is counted from
-its lesser endpoint, a fixed-endpoint path by its endpoint and length, and
-a cycle from its smallest vertex as a path back to that vertex's
-neighbour, once in each direction and then halved.  Independent of that
-walk, a generic injective embedding counter divides by the pattern's
-automorphism count.  The point of this module is to be an oracle, not to
-be fast.
+simple paths serves all path counters and the cycle counter of any
+labelling: a path is counted from its lesser endpoint, a fixed-endpoint
+path by its endpoint and length, and a cycle from its smallest vertex as
+a path back to that vertex's neighbour, once in each direction and then
+halved.  The one shortcut is for graphs drawn without crossings on the
+polygon 0..n-1, every host and every subgraph of one: their cycles are
+increasing paths, counted by a DP, with the walk as its test oracle.
+Independent of both, a generic injective embedding counter divides by the
+pattern's automorphism count.  The point of this module is to be an
+oracle, not to be fast.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, Iterator
 
@@ -170,12 +175,16 @@ def _normalize_chord(n: int, pair) -> tuple[int, int]:
     return a, b
 
 
-def _check_noncrossing(chords: Iterable[tuple[int, int]]) -> None:
-    """Laminarity sweep over normalised chords (a < b), sorted once by
-    (a, -b) so that chords sharing a left end come outermost first.  The
-    stack holds the open chords, each nested in the one below it; chords
-    whose right end is <= a are closed.  A chord crosses the innermost open
-    chord exactly when it ends past that chord's right end.  O(m log m).
+def _first_crossing(chords: Iterable[tuple[int, int]]) -> tuple | None:
+    """The first crossing pair of normalised chords (a < b) of the circle
+    labelled 0..n-1, as (open chord, chord crossing it), or None.
+
+    Laminarity sweep: chords sorted once by (a, -b), so that chords
+    sharing a left end come outermost first.  The stack holds the open
+    chords, each nested in the one below it; chords whose right end is
+    <= a are closed.  A chord crosses the innermost open chord exactly
+    when it ends past that chord's right end.  Chords sharing an end and
+    polygon sides never cross.  O(m log m).
     """
     stack: list[tuple[int, int]] = []
     for c in sorted(chords, key=lambda c: (c[0], -c[1])):
@@ -183,8 +192,9 @@ def _check_noncrossing(chords: Iterable[tuple[int, int]]) -> None:
         while stack and stack[-1][1] <= a:
             stack.pop()
         if stack and b > stack[-1][1]:
-            raise CrossingChords(f"chords {stack[-1]} and {c} cross")
+            return stack[-1], c
         stack.append(c)
+    return None
 
 
 @dataclass(frozen=True)
@@ -211,7 +221,9 @@ class Mop:
             seen.add(c)
             norm.append(c)
         object.__setattr__(self, "chords", frozenset(norm))
-        _check_noncrossing(norm)
+        crossing = _first_crossing(norm)
+        if crossing:
+            raise CrossingChords("chords {} and {} cross".format(*crossing))
         if len(norm) != self.n - 3:
             raise WrongChordCount(
                 f"{len(norm)} chords on a {self.n}-gon; a triangulation has {self.n - 3}"
@@ -375,7 +387,25 @@ def _walk(adj, s: int, top: int, floor: int, slot, counts) -> None:
 
 
 def cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int, int]:
-    """Counts of simple cycles by length.
+    """Counts of simple cycles by length, up to max_k vertices.
+
+    The route depends on the labelling.  When g's edges, read as chords of
+    a circle labelled 0..n-1 in order, pairwise do not cross (every `Mop`
+    graph and every subgraph of one), a cycle's vertices lie in convex
+    position and its edges do not cross: it is a simple polygon on points
+    in convex position, so it is their convex hull and visits them in
+    circle order.  A k-cycle with least vertex s is then exactly one
+    increasing path s < v_2 < ... < v_k with v_k adjacent to s, which
+    `_increasing_cycle_histogram` counts.  Any other labelling goes to the
+    backtracker, `_walk_cycle_histogram`.
+    """
+    if _first_crossing(g.edges) is None:
+        return _increasing_cycle_histogram(g, max_k)
+    return _walk_cycle_histogram(g, max_k)
+
+
+def _walk_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int, int]:
+    """Counts of simple cycles by length, for any labelling.
 
     A k-cycle whose smallest vertex is s is a (k-1)-edge path from s
     through larger vertices back to a neighbour of s; it is walked once
@@ -392,6 +422,64 @@ def cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int, int]:
             slot[w] = 0
         _walk(adj, s, top - 1, s, slot, counts)
     return {e + 1: c // 2 for e, (c,) in enumerate(counts) if e >= 2 and c}
+
+
+def _increasing_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int, int]:
+    """Counts of simple cycles by length for a graph whose edges do not
+    cross as chords of the circle 0..n-1: each k-cycle is counted once, as
+    the increasing (k-1)-edge path from its least vertex s to a neighbour
+    of s (see `cycle_histogram`).
+
+    From each s, path counts are pushed along the up-edges v -> u (u > v)
+    of the vertices reached so far, popped from a heap in increasing
+    order, and never past s's largest neighbour, after which no path can
+    close.  Only vertices reached within top-1 edges are touched.
+
+    Packing: one int holds a vertex's path counts, field e (`width` bits)
+    the e-edge paths, and only fields e < top are kept.  An increasing
+    path is fixed by its vertex set, so every field e, of one vertex's
+    counts or of the total (which adds up edges at e = 1 and cycles at
+    e >= 2), counts distinct (e+1)-vertex sets and is at most
+    C(n, e+1) <= C(n, min(top, n // 2)).  `width` is that bound's bit
+    length, so no field ever carries into the next.
+    """
+    n = g.n
+    top = n if max_k is None else min(max_k, n)
+    if top < 3:
+        return {}
+    width = comb(n, min(top, n // 2)).bit_length()
+    keep = (1 << width * top) - 1
+    edge = 1 << width  # one path of one edge
+    up = [a[bisect_right(a, v):] for v, a in enumerate(g._adj)]
+    total = 0
+    for s in range(n - 2):
+        ends = up[s]
+        if len(ends) < 2:
+            continue
+        far = ends[-1]
+        paths = dict.fromkeys(ends, edge)
+        heap = list(ends)  # sorted, so already a heap
+        while heap:
+            v = heappop(heap)
+            step = (paths[v] << width) & keep
+            if step:
+                for u in up[v]:
+                    if u > far:
+                        break
+                    if u in paths:
+                        paths[u] += step
+                    else:
+                        paths[u] = step
+                        heappush(heap, u)
+        for w in ends:
+            total += paths[w]
+    mask = edge - 1
+    hist = {}
+    for e in range(2, top):
+        count = (total >> e * width) & mask
+        if count:
+            hist[e + 1] = count
+    return hist
 
 
 def count_cycles(g: Graph, k: int) -> int:
@@ -456,7 +544,9 @@ PATTERN_SIZE_LIMIT = 10  # embedding and automorphism search is plain backtracki
 @dataclass(frozen=True)
 class Pattern:
     """What to count in a host: a cycle by vertex count, a path by edge
-    count, or a tree given by its edges.
+    count, or a tree given by its edges.  `n` is the vertex count of every
+    kind: set from the size for a cycle (k) or a path (k + 1), required
+    for a tree.
 
     `graph` and `automorphisms` serve the generic embedding counter; each
     is built on first use, once per pattern, so cycle and path sweeps
@@ -472,14 +562,20 @@ class Pattern:
         if self.kind == "cycle":
             if self.size < 3:
                 raise ValueError(f"cycle length must be >= 3, got {self.size}")
+            n = self.size
         elif self.kind == "path":
             if self.size < 1:
                 raise ValueError(f"path edge count must be >= 1, got {self.size}")
+            n = self.size + 1
         elif self.kind == "tree":
             tree = Tree(self.n, self.edges)  # validates shape
             object.__setattr__(self, "edges", tuple(sorted(tree.edges)))
+            n = tree.n
         else:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
+        if self.n not in (0, n):
+            raise ValueError(f"{self.describe()} has {n} vertices, got n={self.n}")
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def cycle(cls, k: int) -> "Pattern":
@@ -513,15 +609,13 @@ class Pattern:
     def graph(self) -> Graph:
         """The pattern as a plain graph, size-guarded for the generic
         counter."""
+        if self.n > PATTERN_SIZE_LIMIT:
+            raise ValueError(f"pattern on {self.n} vertices exceeds the guard {PATTERN_SIZE_LIMIT}")
         if self.kind == "cycle":
-            g = Graph(self.size, [(i, (i + 1) % self.size) for i in range(self.size)])
-        elif self.kind == "path":
-            g = Graph(self.size + 1, [(i, i + 1) for i in range(self.size)])
-        else:
-            g = Graph(self.n, self.edges)
-        if g.n > PATTERN_SIZE_LIMIT:
-            raise ValueError(f"pattern on {g.n} vertices exceeds the guard {PATTERN_SIZE_LIMIT}")
-        return g
+            return Graph(self.n, [(i, (i + 1) % self.n) for i in range(self.n)])
+        if self.kind == "path":
+            return Graph(self.n, [(i, i + 1) for i in range(self.size)])
+        return Graph(self.n, self.edges)
 
     @cached_property
     def automorphisms(self) -> int:

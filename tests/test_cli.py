@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, schema, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,26 @@ def test_count_cycle_path_and_tree(capture, tmp_path):
         assert (code, out, err) == (0, f"{expected}\n", "")
 
 
+def test_count_cycles_on_relabelled_numeral_graph(capture, tmp_path):
+    # gen's labelling has no crossing and takes the increasing-path DP; the
+    # shuffled copy has crossings and takes the walk
+    code, out, _ = capture("gen", "--numeral", "3", "3")
+    g = graph_core.parse_edge_list(out)
+    perm = list(range(g.n))
+    random.Random(9).shuffle(perm)
+    h = g.relabel(perm)
+    assert graph_core._first_crossing(g.edges) is None
+    assert graph_core._first_crossing(h.edges) is not None
+    plain, shuffled = tmp_path / "numeral.txt", tmp_path / "shuffled.txt"
+    plain.write_text(out)
+    shuffled.write_text(graph_core.format_edge_list(h))
+    for pattern in ("cycle:3", "cycle:6", "cycle:9"):
+        for fmt in ("text", "csv"):
+            runs = [capture("count", "--graph", str(f), "--pattern", pattern,
+                            "--format", fmt) for f in (plain, shuffled)]
+            assert runs[0][0] == 0 and runs[0][1] == runs[1][1] and runs[0][2] == ""
+
+
 def test_tree_pattern_size_guard(capture, tmp_path):
     # the guard fires even where every host is smaller than the pattern
     tree_file = tmp_path / "p11.txt"
@@ -246,6 +267,9 @@ def test_verify_exit_codes(capture):
     code, _, err = capture("verify", "--suite", "p3-exact", "--max-n", "5")
     assert code == 0
     # a suite that runs no cases has not verified anything
+    # a range past a suite's guard exits 2 before the first host
+    code, out, err = capture("verify", "--suite", "cycle-bijection", "--max-n", "17")
+    assert code == 2 and out == "" and "guard 16" in err
     for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
         code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)
         assert code == 2 and out == "" and "no cases" in err

@@ -108,6 +108,21 @@ def test_brute_force_guards():
     assert brute_force_maximum(12, Pattern.cycle(3), limit=None).maximum == 10
 
 
+@pytest.mark.parametrize("suite,max_n,guard", [
+    ("cycle-bijection", 17, "polygon size n=17 exceeds the desk-scale guard 16;"),
+    ("cycle-closed-forms", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
+    ("greedy-optimality", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
+    ("p3-exact", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
+])
+def test_suite_guard_fires_before_the_first_host(monkeypatch, suite, max_n, guard):
+    def spy(n, *args, **kwargs):
+        raise AssertionError(f"{suite} enumerated hosts at n={n} before its guard")
+
+    monkeypatch.setattr(extremal_search, "enumerate_mops", spy)
+    with pytest.raises(ScaleLimitError, match=guard):
+        verify_suite(suite, max_n=max_n)
+
+
 def test_brute_force_many_shares_enumeration():
     results = brute_force_many(7, [Pattern.cycle(3), Pattern.cycle(5),
                                    Pattern.path(2)])

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opturan import graph_core
 from opturan.exactmath import catalan
 from opturan.graph_core import (
     CrossingChords,
@@ -16,6 +17,8 @@ from opturan.graph_core import (
     Tree,
     WrongChordCount,
     _count_injective_maps,
+    _first_crossing,
+    _walk_cycle_histogram,
     canonical_chords,
     count_cycles,
     count_paths,
@@ -245,6 +248,92 @@ def test_counts_are_isomorphism_invariant(perm):
     h = g.relabel(perm)
     assert cycle_histogram(g) == cycle_histogram(h)
     assert path_histogram(g) == path_histogram(h)
+
+
+def test_pattern_vertex_count():
+    for pattern in (Pattern.cycle(5), Pattern.path(3), Pattern.tree(star_tree())):
+        n = pattern.n
+        assert "graph" not in vars(pattern)  # known without building the graph
+        assert n == pattern.graph.n
+    assert Pattern.path(10).n == 11  # even past the guard that pattern.graph applies
+    assert Pattern(kind="cycle", size=5, n=5) == Pattern.cycle(5)
+    with pytest.raises(ValueError, match="cycle:5 has 5 vertices, got n=4"):
+        Pattern(kind="cycle", size=5, n=4)
+    with pytest.raises(ValueError, match="path:3 has 4 vertices, got n=3"):
+        Pattern(kind="path", size=3, n=3)
+
+
+# ---------------------------------------------------------------------------
+# Cycle routes: increasing-path DP for non-crossing labellings, walk otherwise
+# ---------------------------------------------------------------------------
+
+@st.composite
+def random_mops(draw, max_n):
+    """A triangulation of the n-gon built by drawing the apex on each
+    polygon's closing edge, as `enumerate_mops` recurses."""
+    n = draw(st.integers(3, max_n))
+    chords = set()
+    todo = [tuple(range(n))]
+    while todo:
+        vs = todo.pop()
+        if len(vs) < 4:
+            continue
+        i = draw(st.integers(1, len(vs) - 2))
+        if i >= 2:
+            chords.add((vs[0], vs[i]))
+        if len(vs) - 1 - i >= 2:
+            chords.add((vs[i], vs[-1]))
+        todo += [vs[:i + 1], vs[i:]]
+    return Mop(n, chords)
+
+
+def test_cycle_routes_agree_on_all_small_hosts():
+    for n in range(3, 11):
+        for m in enumerate_mops(n):
+            g = m.graph
+            for max_k in range(2, n + 2):
+                assert cycle_histogram(g, max_k) == _walk_cycle_histogram(g, max_k)
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g, hist in ((two_triangles, {3: 2}), (Graph(7, []), {}), (Graph(0, []), {})):
+        assert cycle_histogram(g) == _walk_cycle_histogram(g) == hist
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cycle_routes_agree_on_edge_subsets(data):
+    g = data.draw(random_mops(12)).graph
+    edges = data.draw(st.sets(st.sampled_from(sorted(g.edges))))
+    sub = Graph(g.n, edges)  # often disconnected, sometimes edgeless
+    max_k = data.draw(st.none() | st.integers(2, g.n + 1))
+    assert cycle_histogram(sub, max_k) == _walk_cycle_histogram(sub, max_k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cycle_histogram_is_relabelling_invariant(data):
+    # a permutation that creates a crossing pits the DP against the walk
+    g = data.draw(random_mops(10)).graph
+    perm = data.draw(st.permutations(range(g.n)))
+    assert cycle_histogram(g.relabel(perm)) == cycle_histogram(g)
+
+
+def test_crossing_labelling_takes_the_walk(monkeypatch):
+    calls = []
+
+    def spy(g, max_k=None):
+        calls.append(g)
+        return _walk_cycle_histogram(g, max_k)
+
+    monkeypatch.setattr(graph_core, "_walk_cycle_histogram", spy)
+    k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+    assert _first_crossing(k4.edges) == ((0, 2), (1, 3))
+    assert cycle_histogram(k4) == {3: 4, 4: 3}
+    assert calls == [k4]
+    calls.clear()
+    g = fan(6).graph
+    assert _first_crossing(g.edges) is None
+    assert cycle_histogram(g) == {3: 4, 4: 3, 5: 2, 6: 1}
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
