@@ -433,7 +433,10 @@ def _increasing_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int,
     From each s, path counts are pushed along the up-edges v -> u (u > v)
     of the vertices reached so far, popped from a heap in increasing
     order, and never past s's largest neighbour, after which no path can
-    close.  Only vertices reached within top-1 edges are touched.
+    close.  Only vertices reached within top-1 edges are touched.  A
+    popped vertex is never a target again, so its counts are dropped (and
+    added to the total if it is a neighbour of s) when it is popped: only
+    the reached vertices not yet popped hold counts.
 
     Packing: one int holds a vertex's path counts, field e (`width` bits)
     the e-edge paths, and only fields e < top are kept.  An increasing
@@ -457,11 +460,15 @@ def _increasing_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int,
         if len(ends) < 2:
             continue
         far = ends[-1]
+        closing = set(ends)
         paths = dict.fromkeys(ends, edge)
         heap = list(ends)  # sorted, so already a heap
         while heap:
             v = heappop(heap)
-            step = (paths[v] << width) & keep
+            c = paths.pop(v)
+            if v in closing:
+                total += c
+            step = (c << width) & keep
             if step:
                 for u in up[v]:
                     if u > far:
@@ -471,8 +478,6 @@ def _increasing_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int,
                     else:
                         paths[u] = step
                         heappush(heap, u)
-        for w in ends:
-            total += paths[w]
     mask = edge - 1
     hist = {}
     for e in range(2, top):

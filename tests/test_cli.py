@@ -266,10 +266,10 @@ def test_verify_exit_codes(capture):
     assert row.count("[[0, 2], [0, 4], [2, 4]]") == 2
     code, _, err = capture("verify", "--suite", "p3-exact", "--max-n", "5")
     assert code == 0
-    # a suite that runs no cases has not verified anything
     # a range past a suite's guard exits 2 before the first host
     code, out, err = capture("verify", "--suite", "cycle-bijection", "--max-n", "17")
     assert code == 2 and out == "" and "guard 16" in err
+    # a suite that runs no cases has not verified anything
     for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
         code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)
         assert code == 2 and out == "" and "no cases" in err
