@@ -319,9 +319,9 @@ def test_cycle_histogram_is_relabelling_invariant(data):
 
 
 def test_increasing_route_frees_counts_on_a_long_ring():
-    # from start 0 the counts of vertex v fill v fields of about n bits
-    # each; kept for every v until the end they would need about n^3/2
-    # bits (500 MB here), dropped when popped only the largest one, 0.5 MB
+    # from start 0 the counts of vertex v fill v fields of about n bits:
+    # holding every vertex's counts to the end would peak near n^3/2 bits
+    # (500 MB here), holding only the reached, unpopped ones near n^2 bits
     n = 2000
     ring = Graph(n, [(v, (v + 1) % n) for v in range(n)])
     tracemalloc.start()
