@@ -85,9 +85,15 @@ class WrongChordCount(MopError):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_adj")
+    `_noncrossing` is True only for a graph whose edges are known not to
+    cross as chords of the polygon 0..n-1 (set by `_mop_graph`, whose
+    chords `Mop` validated); False means unknown, and `cycle_histogram`
+    then checks.
+    """
+
+    __slots__ = ("n", "edges", "_adj", "_noncrossing")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -106,6 +112,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._noncrossing = False
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -256,7 +263,9 @@ class Mop:
 def _mop_graph(n: int, chords: frozenset) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges.extend(chords)
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    g._noncrossing = True  # Mop.__post_init__ proved the chords do not cross
+    return g
 
 
 @lru_cache(maxsize=4096)
@@ -342,10 +351,11 @@ def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
     Use it only for sweeps whose result is a graph invariant.
     """
     for mop in enumerate_mops(n):
-        pairs = mop.sorted_chords()
-        own = [a * n + b for a, b in pairs]
-        # early exit: the first smaller image rejects the host
-        if all(own <= image for image in _dihedral_images(n, pairs)):
+        # for n >= 4 every triangulation has an ear, cut off by a chord of
+        # cyclic length 2, so its least image starts with (0, 2)
+        if n > 3 and (0, 2) not in mop.chords:
+            continue
+        if tuple(a * n + b for a, b in mop.sorted_chords()) == _orbit_key(n, mop.chords):
             yield mop
 
 
@@ -397,9 +407,10 @@ def cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int, int]:
     circle order.  A k-cycle with least vertex s is then exactly one
     increasing path s < v_2 < ... < v_k with v_k adjacent to s, which
     `_increasing_cycle_histogram` counts.  Any other labelling goes to the
-    backtracker, `_walk_cycle_histogram`.
+    backtracker, `_walk_cycle_histogram`.  A `Mop` graph skips the check:
+    its chords were proven non-crossing when the `Mop` was built.
     """
-    if _first_crossing(g.edges) is None:
+    if g._noncrossing or _first_crossing(g.edges) is None:
         return _increasing_cycle_histogram(g, max_k)
     return _walk_cycle_histogram(g, max_k)
 
@@ -804,20 +815,42 @@ def star_blowup(pattern: Pattern, s: int) -> Graph:
 # Canonical form and serialization
 # ---------------------------------------------------------------------------
 
-def _dihedral_images(n: int, pairs: list[tuple[int, int]]) -> Iterator[list[int]]:
-    """The chords (a, b), a < b, under each of the 2n dihedral relabelings
-    of the polygon: rotations v -> v + s and reflections v -> s - v (mod n).
-    Each image is the sorted list of codes a*n + b; codes order like the
-    (a, b) tuples, so two images compare like their sorted chord tuples.
+def _orbit_key(n: int, pairs) -> tuple[int, ...]:
+    """The least of the chords' 2n images under the dihedral relabelings
+    of the polygon (rotations v -> v + s and reflections v -> s - v,
+    mod n), as the sorted tuple of codes a*n + b, a < b.  Codes order like
+    the (a, b) tuples, so images compare like their sorted chord tuples,
+    and two chord sets share a key exactly when one is an image of the
+    other.  pairs, in either orientation, is read more than once, so it
+    must not be an iterator.
+
+    Only some images are built.  Let d be the least cyclic length of a
+    chord.  No image holds a code below d, the code of (0, d), and an
+    image holds it exactly when its relabeling sends a shortest chord to
+    (0, d).  So the least image is the least of those images: two per
+    shortest chord.  (When d = n/2, v -> v - b and v -> a - v send (a, b)
+    to (0, d) too; but then every chord is a diameter, which the half
+    turn fixes, so they give the images of v -> v - a and v -> b - v.)
     """
+    d, short = n, []
+    for a, b in pairs:
+        e = (b - a) % n
+        if e > n - e:
+            a, b, e = b, a, n - e  # now b = a + e (mod n)
+        if e < d:
+            d, short = e, [(a, b)]
+        elif e == d:
+            short.append((a, b))
+    if not short:
+        return ()
     rot = list(range(n)) * 2
     ref = rot[::-1]  # ref[i] = n - 1 - (i mod n)
-    for s in range(n):
-        for perm in (rot[s:s + n], ref[n - 1 - s:2 * n - 1 - s]):
-            image = [x * n + y if (x := perm[a]) < (y := perm[b]) else y * n + x
-                     for a, b in pairs]
-            image.sort()
-            yield image
+    perms = []
+    for a, b in short:  # v -> v - a and v -> b - v send (a, b) to (0, d)
+        perms += [rot[n - a:2 * n - a], ref[n - 1 - b:2 * n - 1 - b]]
+    return min(tuple(sorted([x * n + y if (x := p[a]) < (y := p[b]) else y * n + x
+                             for a, b in pairs]))
+               for p in perms)
 
 
 def canonical_chords(n: int, chords: Iterable[tuple[int, int]]) -> tuple:
@@ -827,8 +860,7 @@ def canonical_chords(n: int, chords: Iterable[tuple[int, int]]) -> tuple:
     sets agree: for n >= 4 the polygon boundary is the unique Hamiltonian
     cycle of a maximal outerplanar graph, so every isomorphism respects it.
     """
-    pairs = [tuple(sorted(c)) for c in chords]
-    return tuple(divmod(code, n) for code in min(_dihedral_images(n, pairs)))
+    return tuple(divmod(code, n) for code in _orbit_key(n, list(chords)))
 
 
 def parse_edge_list(text: str) -> Graph:

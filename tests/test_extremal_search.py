@@ -4,10 +4,11 @@ from math import comb
 
 import pytest
 
-from opturan import extremal_search
+from opturan import extremal_search, graph_core
 from opturan.exactmath import path_count_bounds
 from opturan.extremal_search import (
     NOT_COVERED,
+    ExtremalResult,
     Pattern,
     brute_force_many,
     brute_force_maximum,
@@ -18,11 +19,14 @@ from opturan.extremal_search import (
     verify_suite,
 )
 from opturan.graph_core import (
+    Mop,
     canonical_chords,
+    count_patterns,
+    cycle_histogram,
+    enumerate_mop_orbits,
     enumerate_mops,
     fan,
     paths_between_histogram,
-    subgraph_count,
     triple_fan,
 )
 from opturan.guards import ScaleLimitError
@@ -76,12 +80,69 @@ def test_brute_force_dedup_toggle():
     assert len(with_dedup.maximizers) == 3
 
 
+K13 = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
+SPIDER5 = Pattern.tree(Tree(5, [(0, 1), (1, 2), (0, 3), (0, 4)]))
+
+
+def labelled_scan(n, patterns):
+    """The sweep without any orbit memo: every labelled host counted.
+    Returns the results for dedup=True and for dedup=False."""
+    hosts = [(tuple(m.sorted_chords()), count_patterns(m.graph, patterns))
+             for m in enumerate_mops(n)]
+    out = {True: [], False: []}
+    for i, pattern in enumerate(patterns):
+        best = max(counts[i] for _, counts in hosts)
+        argmax = {chords for chords, counts in hosts if counts[i] == best}
+        for dedup, reps in ((True, {canonical_chords(n, c) for c in argmax}),
+                            (False, argmax)):
+            out[dedup].append(ExtremalResult(n=n, pattern=pattern, maximum=best,
+                                             maximizers=tuple(sorted(reps)), deduped=dedup))
+    return out
+
+
+def assert_sweep_matches_labelled_scan(n, patterns, jobs=1):
+    expected = labelled_scan(n, patterns)
+    for dedup in (True, False):
+        assert brute_force_many(n, patterns, dedup=dedup, jobs=jobs) == expected[dedup]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_path_sweep_matches_labelled_scan(n):
+    assert_sweep_matches_labelled_scan(n, [Pattern.path(k) for k in range(1, n)])
+
+
 def test_brute_force_tree_pattern_against_direct_scan():
-    spider = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
-    res = brute_force_maximum(7, spider)
-    direct = max(subgraph_count(m.graph, spider)
-                 for m in enumerate_mops(7))
-    assert res.maximum == direct
+    for n in range(3, 9):
+        assert_sweep_matches_labelled_scan(n, [K13, SPIDER5])
+
+
+def test_mixed_and_parallel_sweeps_match_labelled_scan():
+    mixed = [Pattern.cycle(3), Pattern.path(2), Pattern.cycle(6), K13, Pattern.path(5)]
+    assert_sweep_matches_labelled_scan(8, mixed)
+    assert_sweep_matches_labelled_scan(8, mixed, jobs=2)
+
+
+def test_sweep_counts_paths_per_orbit_and_cycles_per_host(monkeypatch):
+    # perfbench pins one cycle_histogram and one Mop.graph call per
+    # labelled host in an all-cycle sweep
+    calls = {"path_histogram": 0, "cycle_histogram": 0, "Mop.graph": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(graph_core, "path_histogram", spy("path_histogram", graph_core.path_histogram))
+    monkeypatch.setattr(graph_core, "cycle_histogram", spy("cycle_histogram", cycle_histogram))
+    monkeypatch.setattr(Mop, "graph", property(spy("Mop.graph", Mop.graph.fget)))
+    orbits, hosts = len(list(enumerate_mop_orbits(8))), len(list(enumerate_mops(8)))
+    assert (orbits, hosts) == (12, 132)
+    brute_force_many(8, [Pattern.path(2), Pattern.path(4)])
+    assert calls == {"path_histogram": orbits, "cycle_histogram": 0, "Mop.graph": orbits}
+    calls.update(dict.fromkeys(calls, 0))
+    brute_force_many(8, [Pattern.cycle(3), Pattern.cycle(5)])
+    assert calls == {"path_histogram": 0, "cycle_histogram": hosts, "Mop.graph": hosts}
 
 
 def test_brute_force_jobs_match_serial():

@@ -34,6 +34,7 @@ from opturan.graph_core import (
     is_outerplanar_small,
     parse_edge_list,
     path_histogram,
+    paths_between_histogram,
     star_blowup,
     subgraph_count,
     triple_fan,
@@ -318,6 +319,27 @@ def test_cycle_histogram_is_relabelling_invariant(data):
     assert cycle_histogram(g.relabel(perm)) == cycle_histogram(g)
 
 
+K13 = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
+SPIDER5 = Pattern.tree(Tree(5, [(0, 1), (1, 2), (0, 3), (0, 4)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_path_and_tree_counts_are_relabelling_invariant(data):
+    # brute_force_many counts paths and trees once per dihedral orbit and
+    # reuses the counts for every other labelling; these must not move
+    g = data.draw(random_mops(10)).graph
+    perm = data.draw(st.permutations(range(g.n)))
+    h = g.relabel(perm)
+    assert path_histogram(h) == path_histogram(g)
+    for pattern in (K13, SPIDER5):
+        assert subgraph_count(h, pattern) == subgraph_count(g, pattern)
+    # the fixed-endpoint counts of g from u are those of h from perm[u]
+    for u in range(g.n):
+        moved = {(perm[w], e): c for (w, e), c in paths_between_histogram(g, u).items()}
+        assert paths_between_histogram(h, perm[u]) == moved
+
+
 def test_increasing_route_frees_counts_on_a_long_ring():
     # from start 0 the counts of vertex v fill v fields of about n bits:
     # holding every vertex's counts to the end would peak near n^3/2 bits
@@ -351,6 +373,31 @@ def test_crossing_labelling_takes_the_walk(monkeypatch):
     assert _first_crossing(g.edges) is None
     assert cycle_histogram(g) == {3: 4, 4: 3, 5: 2, 6: 1}
     assert calls == []
+    crossed = g.relabel([0, 3, 2, 1, 4, 5])  # (0, 2) now crosses (1, 4)
+    assert _first_crossing(crossed.edges) == ((0, 2), (1, 4))
+    assert cycle_histogram(crossed) == {3: 4, 4: 3, 5: 2, 6: 1}
+    assert calls == [crossed]
+
+
+def test_only_mop_graphs_skip_the_crossing_check(monkeypatch):
+    g = fan(6).graph  # built before the spy: Mop validation sweeps too
+    calls = []
+
+    def spy(chords):
+        calls.append(chords)
+        return _first_crossing(chords)
+
+    monkeypatch.setattr(graph_core, "_first_crossing", spy)
+    assert cycle_histogram(g) == {3: 4, 4: 3, 5: 2, 6: 1}
+    assert calls == []
+    # the same edges, not built from a Mop: checked, then the DP
+    for h in (g.relabel(range(6)), parse_edge_list(format_edge_list(g)), Graph(6, g.edges)):
+        calls.clear()
+        assert h == g and cycle_histogram(h) == {3: 4, 4: 3, 5: 2, 6: 1}
+        assert calls == [h.edges]
+    calls.clear()
+    assert cycle_histogram(Tree(4, [(0, 1), (1, 2), (1, 3)])) == {}
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +507,21 @@ def test_canonical_chords_matches_tuple_reference():
     assert canonical_chords(9, scrambled) == reference_canonical_chords(9, chords)
     assert canonical_chords(9, scrambled) == canonical_chords(9, triple_fan(9).chords)
     assert canonical_chords(5, [[3, 0], [0, 2]]) == ((0, 2), (0, 3))
+    for n, diameters in ((6, [(4, 1), (0, 3)]), (8, [(2, 6), (5, 1), (0, 4)])):
+        assert canonical_chords(n, diameters) == reference_canonical_chords(n, diameters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_chords_of_any_chord_set_match_reference(data):
+    # the orbit key builds only the images that move a shortest chord to
+    # (0, d); any chord list, diameters and polygon sides included, must
+    # still get the least of all 2n images
+    n = data.draw(st.integers(2, 14))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    chords = data.draw(st.lists(pair.map(tuple), min_size=1, max_size=9))
+    assert canonical_chords(n, chords) == reference_canonical_chords(n, chords)
+    assert canonical_chords(n, iter(chords)) == canonical_chords(n, chords)
 
 
 def test_edge_list_round_trip():
