@@ -254,6 +254,15 @@ def _cmd_greedy(args) -> int:
     return 0
 
 
+def _unsafe_scale(args, guard: str) -> dict:
+    """{"limit": None} after a warning on stderr when --unsafe-scale is set;
+    otherwise {}, so the callee's own guard applies."""
+    if not args.unsafe_scale:
+        return {}
+    print(f"warning: --unsafe-scale lifts the {guard} guard", file=sys.stderr)
+    return {"limit": None}
+
+
 def _cmd_gen(args) -> int:
     chosen = [name for name in ("fan", "triple_fan", "numeral")
               if getattr(args, name) is not None]
@@ -261,7 +270,6 @@ def _cmd_gen(args) -> int:
         print("gen: choose exactly one of --fan, --triple-fan, --numeral",
               file=sys.stderr)
         return 2
-    limit = None if args.unsafe_scale else numeral_paths.NUMERAL_VERTEX_LIMIT
     if args.fan is not None:
         mop = graph_core.fan(args.fan)
         params = {"fan": args.fan}
@@ -270,10 +278,8 @@ def _cmd_gen(args) -> int:
         params = {"triple_fan": args.triple_fan}
     else:
         base, width = args.numeral
-        if args.unsafe_scale:
-            print("warning: --unsafe-scale lifts the vertex-count guard",
-                  file=sys.stderr)
-        mop = numeral_paths.numeral_graph(base, width, limit=limit).mop
+        mop = numeral_paths.numeral_graph(
+            base, width, **_unsafe_scale(args, "vertex-count")).mop
         params = {"numeral": [base, width]}
     return _graph_output(args, "gen", params, mop)
 
@@ -306,13 +312,8 @@ def _cmd_gamma(args) -> int:
     params = {"L": args.L, "t": args.t}
     count = numeral_paths.count_schedules(args.L, args.t)
     if args.enumerate:
-        limit = None if args.unsafe_scale else numeral_paths.SCHEDULE_ENUM_LIMIT
-        if args.unsafe_scale:
-            print("warning: --unsafe-scale lifts the enumeration guard",
-                  file=sys.stderr)
-        schedules = [list(s.values)
-                     for s in numeral_paths.enumerate_schedules(args.L, args.t,
-                                                                limit=limit)]
+        schedules = [list(s.values) for s in numeral_paths.enumerate_schedules(
+            args.L, args.t, **_unsafe_scale(args, "enumeration"))]
         if args.format == "json":
             _emit_json("gamma", params, {"count": count, "schedules": schedules})
         elif args.format == "csv":
@@ -357,12 +358,9 @@ def _cmd_inject(args) -> int:
 
 def _cmd_extremal(args) -> int:
     pattern = _read_pattern(args.pattern)
-    limit = None if args.unsafe_scale else 0
-    if args.unsafe_scale:
-        print("warning: --unsafe-scale lifts the brute-force guard",
-              file=sys.stderr)
     result = extremal_search.brute_force_maximum(
-        args.n, pattern, dedup=not args.no_dedup, jobs=args.jobs, limit=limit)
+        args.n, pattern, dedup=not args.no_dedup, jobs=args.jobs,
+        **_unsafe_scale(args, "brute-force"))
     if args.format == "json":
         _emit_json("extremal", {"n": args.n, "pattern": args.pattern},
                    result.to_json_obj())

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, NamedTuple
 from . import exactmath, numeral_paths
 from .exactmath import catalan, cycle_density, fixed_vertex_subtree_count
 from .graph_core import (
-    MOP_ENUM_LIMIT,
     Mop,
     Pattern,
     Tree,
@@ -405,7 +404,7 @@ def _suite_cycle_closed_forms(params, jobs):
 
 
 def _suite_cycle_bijection(params, jobs):
-    check_limit(params["max_n"], MOP_ENUM_LIMIT, "polygon size n")
+    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "polygon size n")
     cases = []
     for n in range(3, params["max_n"] + 1):
         mismatches = 0

@@ -21,7 +21,7 @@ oracle, not to be fast.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
@@ -242,7 +242,11 @@ class Mop:
 
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """The n-2 triangular faces, each a sorted vertex triple, in sorted
-        order.  Recovered by repeatedly clipping ears of the polygon."""
+        order.  Each face (a, m, c), a < m < c, is read off its longest
+        side (a, c): every edge with c - a >= 2 (a chord, or the side
+        (0, n-1)) is the longest side of exactly one face, the one towards
+        the vertices a+1..c-1, and that face's apex m is the largest
+        neighbour of a below c."""
         return _mop_triangles(self.n, self.chords)
 
     def sorted_chords(self) -> list[tuple[int, int]]:
@@ -271,27 +275,9 @@ def _mop_graph(n: int, chords: frozenset) -> Graph:
 @lru_cache(maxsize=4096)
 def _mop_triangles(n: int, chords: frozenset) -> tuple[tuple[int, int, int], ...]:
     g = _mop_graph(n, chords)
-    nxt = {i: (i + 1) % n for i in range(n)}
-    prv = {i: (i - 1) % n for i in range(n)}
-    alive = n
-    triangles = []
-    candidates = list(range(n))
-    while alive > 3:
-        v = candidates.pop(0)
-        if v not in nxt:
-            continue
-        u, w = prv[v], nxt[v]
-        if not g.adjacent(u, w):
-            candidates.append(v)
-            continue
-        triangles.append(tuple(sorted((u, v, w))))
-        nxt[u], prv[w] = w, u
-        del nxt[v], prv[v]
-        alive -= 1
-        candidates.extend((u, w))
-    last = next(iter(nxt))
-    triangles.append(tuple(sorted((last, nxt[last], nxt[nxt[last]]))))
-    return tuple(sorted(triangles))
+    adj = g._adj
+    return tuple(sorted((a, adj[a][bisect_left(adj[a], c) - 1], c)
+                        for a, c in g.edges if c - a >= 2))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ __all__ = [
 
 NUMERAL_VERTEX_LIMIT = 10**6
 SCHEDULE_ENUM_LIMIT = 20
+_PAIRS_EXHAUSTIVE_CAP = 10_000  # admissible_pairs lists every pair up to this
+_PAIRS_SAMPLE_SIZE = 100        # and samples this many, seeded, beyond it
+_PAIRS_SEED = 20240901
 
 
 def _zero_last_nonzero(x: int, base: int) -> int:
@@ -360,21 +363,19 @@ def schedule_count_lower_bound_exact(edge_count: int) -> Fraction:
     return Fraction(2 ** (2 * k - 5 * t)) / denom
 
 
-def admissible_pairs(base: int, width: int, edge_count: int,
-                     exhaustive_cap: int = 10_000, sample_size: int = 100,
-                     seed: int = 20240901) -> list[tuple[int, int]]:
+def admissible_pairs(base: int, width: int, edge_count: int) -> list[tuple[int, int]]:
     """Ordered endpoint pairs eligible for schedule_to_path: all digits in
     [edge_count, base-1] and differing leading digits.
 
-    Exhaustive (sorted) when there are at most exhaustive_cap pairs,
-    otherwise a reproducible fixed-seed sample of sample_size pairs.
+    Exhaustive (sorted) when there are at most _PAIRS_EXHAUSTIVE_CAP pairs,
+    otherwise a reproducible fixed-seed sample of _PAIRS_SAMPLE_SIZE pairs.
     """
     if edge_count >= base:
         raise ValueError(f"edge count {edge_count} must be below the base {base}")
     lo, hi = edge_count, base - 1
     span = hi - lo + 1
     total = (span**width) * (span - 1) * span ** (width - 1)
-    rng = random.Random(seed)
+    rng = random.Random(_PAIRS_SEED)
 
     def from_digits(ds):
         x = 0
@@ -382,7 +383,7 @@ def admissible_pairs(base: int, width: int, edge_count: int,
             x = x * base + d
         return x
 
-    if total <= exhaustive_cap:
+    if total <= _PAIRS_EXHAUSTIVE_CAP:
         out = []
         for ad in itertools.product(range(lo, hi + 1), repeat=width):
             for bd in itertools.product(range(lo, hi + 1), repeat=width):
@@ -391,7 +392,7 @@ def admissible_pairs(base: int, width: int, edge_count: int,
         return out
     out = []
     seen = set()
-    while len(out) < sample_size:
+    while len(out) < _PAIRS_SAMPLE_SIZE:
         ad = [rng.randint(lo, hi) for _ in range(width)]
         bd = [rng.randint(lo, hi) for _ in range(width)]
         if ad[0] == bd[0]:

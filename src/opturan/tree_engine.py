@@ -45,19 +45,15 @@ TREE_ENUM_LIMIT = 12
 def weak_dual(mop: Mop) -> Tree:
     """Tree on the n-2 triangular faces of a triangulation, adjacent when
     two faces share an edge.  Faces are numbered in sorted order of their
-    vertex triples; the result has maximum degree at most 3."""
+    vertex triples; the result has maximum degree at most 3.
+
+    Every face is read off its longest side (see `Mop.triangles`), so face
+    (a, m, c) is joined to the faces read off (a, m) and (m, c) where those
+    sides are chords."""
     tris = mop.triangles()
-    index = {t: i for i, t in enumerate(tris)}
-    edge_owner: dict[tuple[int, int], int] = {}
-    dual_edges = []
-    for t in tris:
-        i = index[t]
-        for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            if (a, b) in edge_owner:
-                dual_edges.append((edge_owner[(a, b)], i))
-            else:
-                edge_owner[(a, b)] = i
-    return Tree(len(tris), dual_edges)
+    by_side = {(a, c): i for i, (a, _, c) in enumerate(tris)}
+    return Tree(len(tris), [(i, by_side[s]) for i, (a, m, c) in enumerate(tris)
+                            for s in ((a, m), (m, c)) if s in by_side])
 
 
 def greedy_tree(degree: int, n: int) -> Tree:

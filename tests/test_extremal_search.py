@@ -170,7 +170,7 @@ def test_brute_force_guards():
 
 
 @pytest.mark.parametrize("suite,max_n,guard", [
-    ("cycle-bijection", 17, "polygon size n=17 exceeds the desk-scale guard 16;"),
+    ("cycle-bijection", 12, "polygon size n=12 exceeds the desk-scale guard 11;"),
     ("cycle-closed-forms", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
     ("greedy-optimality", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
     ("p3-exact", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),

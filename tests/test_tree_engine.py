@@ -9,6 +9,7 @@ import pytest
 
 from opturan.graph_core import Graph, Mop, enumerate_mops, fan, graph_to_dot, triple_fan
 from opturan.guards import ScaleLimitError
+from opturan.numeral_paths import numeral_graph
 from opturan.tree_engine import (
     Tree,
     count_subtrees,
@@ -108,6 +109,29 @@ def test_weak_dual_shape_for_all_small_hosts():
             assert dual.n == n - 2
             assert dual.degree_sequence()[0] <= 3
             assert len(dual.edges) == n - 3
+
+
+def test_faces_and_weak_dual_against_brute_force():
+    # in a maximal outerplanar graph every triangle is a face, and two
+    # faces are adjacent in the weak dual exactly when they share an edge
+    for n in range(3, 11):
+        for m in enumerate_mops(n):
+            g = m.graph
+            faces = [t for t in itertools.combinations(range(n), 3)
+                     if g.adjacent(t[0], t[1]) and g.adjacent(t[0], t[2])
+                     and g.adjacent(t[1], t[2])]
+            assert list(m.triangles()) == faces
+            shared_side = {(i, j) for i, j in itertools.combinations(range(n - 2), 2)
+                           if len(set(faces[i]) & set(faces[j])) == 2}
+            assert weak_dual(m).edges == shared_side
+
+
+def test_weak_dual_of_a_large_host():
+    m = numeral_graph(10, 5).mop
+    assert len(m.triangles()) == m.n - 2
+    dual = weak_dual(m)  # Tree() rejects anything that is not a tree
+    assert isinstance(dual, Tree) and dual.n == m.n - 2
+    assert dual.degree_sequence()[0] <= 3
 
 
 # ---------------------------------------------------------------------------
