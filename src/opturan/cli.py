@@ -503,6 +503,8 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except ScaleLimitError as exc:
+        if not hasattr(args, "unsafe_scale"):  # the hint in exc names that flag
+            exc = f"{exc.args[0]}; lower the value ({args.command} has no --unsafe-scale)"
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

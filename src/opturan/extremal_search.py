@@ -25,7 +25,9 @@ from .graph_core import (
     Mop,
     Pattern,
     Tree,
-    _orbit_key,
+    _decode,
+    _dihedral_images,
+    _orbit_keys,
     canonical_chords,
     count_paths,
     count_patterns,
@@ -108,37 +110,48 @@ class ExtremalResult:
         }
 
 
-def _scan_partition(n: int, patterns: tuple[Pattern, ...],
-                    first_apex: int | None) -> list[tuple[int, list]]:
+def _scan(patterns: tuple[Pattern, ...], hosts: Iterable[Mop]) -> list[tuple[int, list]]:
+    """Each pattern's largest count over the hosts, with the sorted chord
+    tuples of the hosts attaining it."""
     best = [-1] * len(patterns)
     arg: list[list] = [[] for _ in patterns]
-    # counts per dihedral orbit, unless every pattern is a cycle
-    memo = None if all(p.kind == "cycle" for p in patterns) else {}
-    for mop in enumerate_mops(n, limit=None, first_apex=first_apex):
-        if memo is None:
-            counts = count_patterns(mop.graph, patterns)
-        else:
-            key = _orbit_key(n, mop.chords)
-            counts = memo.get(key)
-            if counts is None:
-                counts = memo[key] = count_patterns(mop.graph, patterns)
-        for i, c in enumerate(counts):
+    for mop in hosts:
+        chords = tuple(mop.sorted_chords())
+        for i, c in enumerate(count_patterns(mop.graph, patterns)):
             if c > best[i]:
                 best[i] = c
-                arg[i] = [tuple(mop.sorted_chords())]
+                arg[i] = [chords]
             elif c == best[i]:
-                arg[i].append(tuple(mop.sorted_chords()))
+                arg[i].append(chords)
     return list(zip(best, arg))
 
 
-def _scan_all(n: int, patterns: tuple[Pattern, ...], jobs: int) -> list[tuple[int, list]]:
-    if jobs <= 1 or n < 4:
-        return _scan_partition(n, patterns, None)
-    apexes = list(range(1, n - 1))
-    with multiprocessing.Pool(min(jobs, len(apexes))) as pool:
-        parts = pool.starmap(_scan_partition, [(n, patterns, a) for a in apexes])
+def _scan_hosts(n: int, patterns: tuple[Pattern, ...],
+                first_apex: int | None) -> list[tuple[int, list]]:
+    return _scan(patterns, enumerate_mops(n, limit=None, first_apex=first_apex))
+
+
+def _scan_orbits(n: int, patterns: tuple[Pattern, ...],
+                 keys: list[tuple[int, ...]]) -> list[tuple[int, list]]:
+    return _scan(patterns, (Mop(n, frozenset(_decode(n, key))) for key in keys))
+
+
+def _scan_all(n: int, patterns: tuple[Pattern, ...], orbits: bool,
+              jobs: int) -> list[tuple[int, list]]:
+    """`_scan` over one host per orbit or over every labelled host, split
+    across `jobs` workers: the orbit keys round-robin, the labelled hosts
+    by the apex of their triangle on the side (0, n-1)."""
+    if orbits:
+        keys = _orbit_keys(n)
+        scan, shares = _scan_orbits, [keys[j::jobs] for j in range(min(jobs, len(keys)))]
+    else:
+        scan, shares = _scan_hosts, [None] if jobs <= 1 or n < 4 else range(1, n - 1)
+    if len(shares) == 1:
+        return scan(n, patterns, shares[0])
+    with multiprocessing.Pool(min(jobs, len(shares))) as pool:
+        parts = pool.starmap(scan, [(n, patterns, share) for share in shares])
     merged: list[tuple[int, list]] = [(-1, []) for _ in patterns]
-    for part in parts:  # apex order keeps the merge deterministic
+    for part in parts:  # the share order keeps the merge deterministic
         for i, (b, a) in enumerate(part):
             mb, ma = merged[i]
             if b > mb:
@@ -152,16 +165,17 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
                      jobs: int = 1, limit: int | None = 0) -> list[ExtremalResult]:
     """Shared enumeration sweep for several patterns at once.
 
-    Every labelled host is visited and every labelled maximizer listed.
-    When a path or tree pattern is asked for, each host's counts are
-    computed once per dihedral orbit, keyed by the least image of its
-    chords, and reused for the other hosts of that orbit: those counts
-    are graph invariants, and their counters cost far more per host than
-    the key (at n = 11 the walk for path:2..4 about 230 us, the key about
-    20 us).  An all-cycle sweep still counts every labelled host, because
-    perfbench's tests pin one `cycle_histogram` and one `Mop.graph` call
-    per labelled host.  The memo would pay less there, but it would pay:
-    at n = 11 `Mop.graph` plus the cycle DP cost about 70 us per host.
+    When a path or tree pattern is asked for, the sweep counts one host
+    per dihedral orbit, generated by `_orbit_keys`, since every count is
+    a graph invariant: 228 hosts at n = 11 instead of 4862.  Each host is
+    its orbit's canonical representative, so with dedup the maximizers
+    need no canonicalising; without it, each maximizing representative
+    expands to its distinct dihedral images, which is the sorted list of
+    every labelled maximizer.
+
+    An all-cycle sweep still counts every labelled host and canonicalises
+    each labelled maximizer once, because perfbench's tests pin one
+    `cycle_histogram` and one `Mop.graph` call per labelled host.
 
     limit=0 picks the guard matching the pattern kinds; None disables it.
     """
@@ -172,15 +186,17 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
     check_limit(n, limit, "brute-force host size n")
     for p in trees:  # size guard before the first host; workers get the count
         p.automorphisms
+    orbits = any(p.kind != "cycle" for p in patterns)
     results = []
-    canon: dict[tuple, tuple] = {}  # each maximizer host canonicalised once
-    for pattern, (best, argmax) in zip(patterns, _scan_all(n, patterns, jobs)):
-        if dedup:
+    canon: dict[tuple, tuple] = {}  # each labelled maximizer canonicalised once
+    for pattern, (best, argmax) in zip(patterns, _scan_all(n, patterns, orbits, jobs)):
+        if orbits and not dedup:
+            argmax = [image for chords in argmax for image in _dihedral_images(n, chords)]
+        elif dedup and not orbits:
             for chords in set(argmax) - canon.keys():
                 canon[chords] = canonical_chords(n, chords)
-            reps = sorted({canon[chords] for chords in argmax})
-        else:
-            reps = sorted(set(argmax))
+            argmax = [canon[chords] for chords in argmax]
+        reps = sorted(set(argmax))
         results.append(ExtremalResult(n=n, pattern=pattern, maximum=best,
                                       maximizers=tuple(reps), deduped=dedup))
     return results

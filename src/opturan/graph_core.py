@@ -331,18 +331,47 @@ def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
     """One triangulation of the convex n-gon per dihedral orbit, that is,
     per isomorphism class (OEIS A000207: 1, 1, 1, 3, 4, 12, 27, 82, ... for
     n = 3, 4, 5, ...).  The representative is the labeled host whose sorted
-    chord list equals canonical_chords of its orbit; hosts come in the
-    order of enumerate_mops.
+    chord list equals canonical_chords of its orbit, and hosts come in
+    ascending order of that list.
 
-    Use it only for sweeps whose result is a graph invariant.
+    The orbits are generated, not filtered out of enumerate_mops: see
+    `_orbit_keys`.  Use it only for sweeps whose result is a graph
+    invariant.
     """
-    for mop in enumerate_mops(n):
-        # for n >= 4 every triangulation has an ear, cut off by a chord of
-        # cyclic length 2, so its least image starts with (0, 2)
-        if n > 3 and (0, 2) not in mop.chords:
-            continue
-        if tuple(a * n + b for a, b in mop.sorted_chords()) == _orbit_key(n, mop.chords):
-            yield mop
+    if n < 3:
+        raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+    check_limit(n, MOP_ENUM_LIMIT, "polygon size n")
+    for key in _orbit_keys(n):
+        yield Mop(n, frozenset(_decode(n, key)))
+
+
+def _orbit_keys(n: int) -> list[tuple[int, ...]]:
+    """The orbit key (`_orbit_key`) of every dihedral orbit of
+    triangulations of the n-gon, n >= 3, in ascending order.  Unguarded.
+
+    Built level by level from the triangle by ear insertion.  Every
+    triangulation of an m-gon, m >= 4, has an ear, a vertex of degree 2;
+    cutting it off leaves a triangulation of the (m-1)-gon in which the
+    ear's base is a side.  A relabelling of the (m-1)-gon permutes its
+    sides, so every orbit of the m-gon arises from one representative of
+    some (m-1)-gon orbit by putting an ear on one of its sides: relabel
+    v -> v - s (mod m-1), which sends the side (s-1, s) to (m-2, 0), add
+    vertex m-1 between m-2 and 0, and make the old side the chord
+    (0, m-2).  Keying every child and keeping a set leaves one key per
+    orbit.
+    """
+    keys = {()}
+    for m in range(4, n + 1):
+        k = m - 1
+        children = set()
+        for key in keys:
+            pairs = _decode(k, key)
+            for s in range(k):
+                child = [((a - s) % k, (b - s) % k) for a, b in pairs]
+                child.append((0, k - 1))
+                children.add(_orbit_key(m, child))
+        keys = children
+    return sorted(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +875,27 @@ def canonical_chords(n: int, chords: Iterable[tuple[int, int]]) -> tuple:
     sets agree: for n >= 4 the polygon boundary is the unique Hamiltonian
     cycle of a maximal outerplanar graph, so every isomorphism respects it.
     """
-    return tuple(divmod(code, n) for code in _orbit_key(n, list(chords)))
+    return _decode(n, _orbit_key(n, list(chords)))
+
+
+def _decode(n: int, key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The sorted chord tuple whose codes a*n + b make up the key."""
+    return tuple(divmod(code, n) for code in key)
+
+
+def _dihedral_images(n: int, chords) -> set[tuple[tuple[int, int], ...]]:
+    """The distinct images of the chords under the 2n dihedral relabelings
+    of the polygon (v -> s + v and v -> s - v, mod n), each as a sorted
+    chord tuple: every labelled host of the chords' orbit."""
+    images = set()
+    for s in range(n):
+        for sign in (1, -1):
+            image = []
+            for a, b in chords:
+                x, y = (s + sign * a) % n, (s + sign * b) % n
+                image.append((x, y) if x < y else (y, x))
+            images.add(tuple(sorted(image)))
+    return images
 
 
 def parse_edge_list(text: str) -> Graph:

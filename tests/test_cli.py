@@ -244,7 +244,7 @@ def test_extremal_text_and_json(capture):
 
 def test_extremal_guard_and_unsafe(capture):
     code, _, err = capture("extremal", "-n", "12", "--pattern", "cycle:3")
-    assert code == 2 and "guard" in err
+    assert code == 2 and "guard" in err and "(CLI: --unsafe-scale) to override" in err
 
 
 def test_verify_exit_codes(capture):
@@ -269,6 +269,11 @@ def test_verify_exit_codes(capture):
     # a range past a suite's guard exits 2 before the first host
     code, out, err = capture("verify", "--suite", "cycle-bijection", "--max-n", "12")
     assert code == 2 and out == "" and "guard 11" in err
+    # verify has no --unsafe-scale, so its hint must not name that flag
+    code, out, err = capture("verify", "--suite", "p3-exact", "--max-n", "12")
+    assert (code, out) == (2, "")
+    assert err == ("verify: brute-force host size n=12 exceeds the desk-scale guard 11; "
+                   "lower the value (verify has no --unsafe-scale)\n")
     # a suite that runs no cases has not verified anything
     for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
         code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)

@@ -125,7 +125,7 @@ def test_mixed_and_parallel_sweeps_match_labelled_scan():
 def test_sweep_counts_paths_per_orbit_and_cycles_per_host(monkeypatch):
     # perfbench pins one cycle_histogram and one Mop.graph call per
     # labelled host in an all-cycle sweep
-    calls = {"path_histogram": 0, "cycle_histogram": 0, "Mop.graph": 0}
+    calls = {"path_histogram": 0, "cycle_histogram": 0, "Mop.graph": 0, "enumerate_mops": 0}
 
     def spy(name, fn):
         def wrapped(*args, **kwargs):
@@ -138,11 +138,16 @@ def test_sweep_counts_paths_per_orbit_and_cycles_per_host(monkeypatch):
     monkeypatch.setattr(Mop, "graph", property(spy("Mop.graph", Mop.graph.fget)))
     orbits, hosts = len(list(enumerate_mop_orbits(8))), len(list(enumerate_mops(8)))
     assert (orbits, hosts) == (12, 132)
+    monkeypatch.setattr(extremal_search, "enumerate_mops",
+                        spy("enumerate_mops", extremal_search.enumerate_mops))
+    monkeypatch.setattr(graph_core, "enumerate_mops", spy("enumerate_mops", enumerate_mops))
     brute_force_many(8, [Pattern.path(2), Pattern.path(4)])
-    assert calls == {"path_histogram": orbits, "cycle_histogram": 0, "Mop.graph": orbits}
+    assert calls == {"path_histogram": orbits, "cycle_histogram": 0, "Mop.graph": orbits,
+                     "enumerate_mops": 0}
     calls.update(dict.fromkeys(calls, 0))
     brute_force_many(8, [Pattern.cycle(3), Pattern.cycle(5)])
-    assert calls == {"path_histogram": 0, "cycle_histogram": hosts, "Mop.graph": hosts}
+    assert calls == {"path_histogram": 0, "cycle_histogram": hosts, "Mop.graph": hosts,
+                     "enumerate_mops": 1}
 
 
 def test_brute_force_jobs_match_serial():
@@ -177,9 +182,13 @@ def test_brute_force_guards():
 ])
 def test_suite_guard_fires_before_the_first_host(monkeypatch, suite, max_n, guard):
     def spy(n, *args, **kwargs):
-        raise AssertionError(f"{suite} enumerated hosts at n={n} before its guard")
+        raise AssertionError(f"{suite} enumerated hosts at n={n}")
 
+    # labelled hosts (cycle sweeps) and orbit representatives (path sweeps)
     monkeypatch.setattr(extremal_search, "enumerate_mops", spy)
+    monkeypatch.setattr(extremal_search, "_orbit_keys", spy)
+    with pytest.raises(AssertionError, match="enumerated hosts"):
+        verify_suite(suite, max_n=5)  # the spies sit on the suite's route
     with pytest.raises(ScaleLimitError, match=guard):
         verify_suite(suite, max_n=max_n)
 

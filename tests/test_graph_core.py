@@ -18,6 +18,7 @@ from opturan.graph_core import (
     Tree,
     WrongChordCount,
     _count_injective_maps,
+    _dihedral_images,
     _first_crossing,
     _walk_cycle_histogram,
     canonical_chords,
@@ -140,10 +141,24 @@ def test_enumerate_mop_orbits_counts(n):
 
 
 def test_enumerate_mop_orbits_are_the_canonical_hosts():
-    for n in range(3, 11):
+    for n in range(3, 13):
         reps = [tuple(m.sorted_chords()) for m in enumerate_mop_orbits(n)]
-        assert len(reps) == len(set(reps))
-        assert set(reps) == {canonical_chords(n, m.chords) for m in enumerate_mops(n)}
+        canon = {c: canonical_chords(n, c) for c in (tuple(m.sorted_chords())
+                                                      for m in enumerate_mops(n))}
+        assert set(reps) == set(canon.values())
+        # the filter that ear insertion replaced: hosts that are their own canonical form
+        assert reps == sorted(c for c, rep in canon.items() if c == rep)
+
+
+def test_dihedral_images_are_the_labelled_hosts_of_an_orbit():
+    for n in range(3, 10):
+        orbit_of = {}
+        for m in enumerate_mops(n):
+            orbit_of.setdefault(canonical_chords(n, m.chords), set()).add(tuple(m.sorted_chords()))
+        reps = [tuple(m.sorted_chords()) for m in enumerate_mop_orbits(n)]
+        assert sorted(orbit_of) == reps
+        for rep in reps:
+            assert _dihedral_images(n, rep) == orbit_of[rep]
 
 
 def test_enumerate_mop_orbits_guard():
