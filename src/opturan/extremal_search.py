@@ -42,7 +42,7 @@ from .graph_core import (
     star_blowup,
     triple_fan,
 )
-from .guards import check_limit
+from .guards import ScaleLimitError, check_limit
 from .tree_engine import (
     count_subtrees,
     count_subtrees_all,
@@ -724,7 +724,8 @@ def suite_names() -> list[str]:
 
 def verify_suite(name: str, *, jobs: int = 1, **overrides) -> VerificationReport:
     """Run a named suite with its default parameters (overridable) and
-    return the deterministic report."""
+    return the deterministic report.  A suite's guards are fixed, so a
+    ScaleLimitError raised here says to lower the value."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
     func, defaults = _SUITES[name]
@@ -738,7 +739,11 @@ def verify_suite(name: str, *, jobs: int = 1, **overrides) -> VerificationReport
             raise ValueError(f"suite {name!r} parameter {key!r} wants "
                              f"{type(default).__name__}, got {value!r}")
         params[key] = value
-    cases = func(params, jobs)
+    try:
+        cases = func(params, jobs)
+    except ScaleLimitError as exc:
+        exc.hint = "lower the value (verify_suite takes no limit)"
+        raise
     if not cases:
         raise ValueError(f"suite {name!r} runs no cases with {params}")
     return VerificationReport(suite=name, params=params, cases=cases)

@@ -170,37 +170,53 @@ class Tree(Graph):
 
 
 def _normalize_chord(n: int, pair) -> tuple[int, int]:
+    """The chord as (a, b), a < b, validated; a tuple already in that form
+    is returned itself, so a valid chord set is validated without copying
+    its chords."""
     a, b = pair
     if not (0 <= a < n and 0 <= b < n):
         raise InvalidChord(f"chord ({a},{b}) outside vertex range 0..{n - 1}")
-    if a > b:
-        a, b = b, a
     if a == b:
         raise InvalidChord(f"chord ({a},{b}) is a loop")
+    if a > b:
+        a, b = b, a
+        pair = a, b
+    elif type(pair) is not tuple:
+        pair = a, b
     if b - a < 2 or n - (b - a) < 2:
         raise InvalidChord(f"chord ({a},{b}) is not a diagonal of the {n}-gon")
-    return a, b
+    return pair
 
 
 def _first_crossing(chords: Iterable[tuple[int, int]]) -> tuple | None:
     """The first crossing pair of normalised chords (a < b) of the circle
     labelled 0..n-1, as (open chord, chord crossing it), or None.
 
-    Laminarity sweep: chords sorted once by (a, -b), so that chords
-    sharing a left end come outermost first.  The stack holds the open
-    chords, each nested in the one below it; chords whose right end is
-    <= a are closed.  A chord crosses the innermost open chord exactly
-    when it ends past that chord's right end.  Chords sharing an end and
-    polygon sides never cross.  O(m log m).
+    Laminarity sweep in (a, -b) order, so that chords sharing a left end
+    come outermost first.  The chord tuples are sorted as they are, with
+    no key per chord, and each run of one left end is walked from its
+    last chord back to its first.  The stack holds the open chords, each
+    nested in the one below it; chords whose right end is <= a are
+    closed.  A chord crosses the innermost open chord exactly when it
+    ends past that chord's right end.  Chords sharing an end and polygon
+    sides never cross.  O(m log m).
     """
+    order = sorted(chords)
     stack: list[tuple[int, int]] = []
-    for c in sorted(chords, key=lambda c: (c[0], -c[1])):
-        a, b = c
+    start, m = 0, len(order)
+    while start < m:
+        a = order[start][0]
+        end = start + 1
+        while end < m and order[end][0] == a:
+            end += 1
         while stack and stack[-1][1] <= a:
             stack.pop()
-        if stack and b > stack[-1][1]:
-            return stack[-1], c
-        stack.append(c)
+        for i in range(end - 1, start - 1, -1):
+            c = order[i]
+            if stack and c[1] > stack[-1][1]:
+                return stack[-1], c
+            stack.append(c)
+        start = end
     return None
 
 
@@ -220,20 +236,20 @@ class Mop:
         if self.n < 3:
             raise MopError(f"polygon needs at least 3 vertices, got {self.n}")
         seen = set()
-        norm = []
         for pair in self.chords:
             c = _normalize_chord(self.n, pair)
             if c in seen:
                 raise DuplicateChord(f"chord {c} given twice")
             seen.add(c)
-            norm.append(c)
-        object.__setattr__(self, "chords", frozenset(norm))
-        crossing = _first_crossing(norm)
+        chords = frozenset(seen)
+        del seen  # one chord set alive during the sort below
+        object.__setattr__(self, "chords", chords)
+        crossing = _first_crossing(chords)
         if crossing:
             raise CrossingChords("chords {} and {} cross".format(*crossing))
-        if len(norm) != self.n - 3:
+        if len(chords) != self.n - 3:
             raise WrongChordCount(
-                f"{len(norm)} chords on a {self.n}-gon; a triangulation has {self.n - 3}"
+                f"{len(chords)} chords on a {self.n}-gon; a triangulation has {self.n - 3}"
             )
 
     @property
@@ -263,8 +279,17 @@ class Mop:
         return f"Mop(n={self.n}, chords={self.sorted_chords()})"
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=16)
 def _mop_graph(n: int, chords: frozenset) -> Graph:
+    """The host's graph (`Mop.graph`).
+
+    The window is small on purpose.  The only reuse in the package is a
+    host's faces reusing that host's graph, and a caller reading one host
+    a few times in a row; a sweep streams each host once and never comes
+    back to it.  16 recent hosts cover that reuse, while a larger window
+    only keeps the graphs and faces of hosts no one asks for again alive
+    (4096 of them held 22 MB after reading every host at n = 11).
+    """
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges.extend(chords)
     g = Graph(n, edges)
@@ -272,8 +297,10 @@ def _mop_graph(n: int, chords: frozenset) -> Graph:
     return g
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=16)
 def _mop_triangles(n: int, chords: frozenset) -> tuple[tuple[int, int, int], ...]:
+    """The host's faces (`Mop.triangles`), cached over the same window as
+    `_mop_graph`, for the same reason."""
     g = _mop_graph(n, chords)
     adj = g._adj
     return tuple(sorted((a, adj[a][bisect_left(adj[a], c) - 1], c)

@@ -13,10 +13,13 @@ __all__ = ["ScaleLimitError", "check_limit"]
 
 class ScaleLimitError(ValueError):
     """An enumeration was requested beyond its desk-scale guard.  args[0]
-    says which value broke which guard; the message adds how to lift it."""
+    says which value broke which guard; the message adds `hint`, how to
+    get past it, which an entry point that takes no ``limit`` replaces."""
+
+    hint = "pass limit=None (CLI: --unsafe-scale) to override"
 
     def __str__(self):
-        return f"{self.args[0]}; pass limit=None (CLI: --unsafe-scale) to override"
+        return f"{self.args[0]}; {self.hint}"
 
 
 def check_limit(value: int, limit, what: str) -> None:

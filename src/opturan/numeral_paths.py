@@ -130,7 +130,7 @@ def numeral_graph(base: int, width: int,
         if 2 <= b - a <= n - 2:
             chords.add((a, b))
     try:
-        mop = Mop(n, frozenset(chords))
+        mop = Mop(n, chords)
     except MopError as exc:
         raise RuntimeError(
             f"digit-rule edge set for base={base}, width={width} is not a "

@@ -166,7 +166,7 @@ def test_tree_pattern_jobs_match_serial():
 
 
 def test_brute_force_guards():
-    with pytest.raises(ScaleLimitError):
+    with pytest.raises(ScaleLimitError, match="; pass limit=None .* to override$"):
         brute_force_maximum(12, Pattern.cycle(3))
     spider = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
     with pytest.raises(ScaleLimitError):
@@ -189,8 +189,12 @@ def test_suite_guard_fires_before_the_first_host(monkeypatch, suite, max_n, guar
     monkeypatch.setattr(extremal_search, "_orbit_keys", spy)
     with pytest.raises(AssertionError, match="enumerated hosts"):
         verify_suite(suite, max_n=5)  # the spies sit on the suite's route
-    with pytest.raises(ScaleLimitError, match=guard):
+    with pytest.raises(ScaleLimitError, match=guard) as err:
         verify_suite(suite, max_n=max_n)
+    # verify_suite takes no limit, so its hint must not offer limit=None;
+    # args[0], which the CLI prints, keeps only the reason
+    assert err.value.args[0] == guard[:-1]
+    assert str(err.value) == f"{guard} lower the value (verify_suite takes no limit)"
 
 
 def test_brute_force_many_shares_enumeration():

@@ -83,6 +83,35 @@ def test_mop_invalid_chord():
         Mop(5, [(0, 7), (0, 2)])
 
 
+@pytest.mark.parametrize("chords,error,message", [
+    # chords are checked one by one in the order given: the first fault wins
+    ([(0, 2), (2, 0), (0, 9)], DuplicateChord, "chord (0, 2) given twice"),
+    ([(0, 9), (0, 2), (2, 0)], InvalidChord, "chord (0,9) outside vertex range 0..5"),
+    ([(3, 1), [1, 3], (4, 4)], DuplicateChord, "chord (1, 3) given twice"),
+    ([(4, 4), (3, 1), [1, 3]], InvalidChord, "chord (4,4) is a loop"),
+    ([(0, 2), (5, 0)], InvalidChord, "chord (0,5) is not a diagonal of the 6-gon"),
+    ([(-1, 2)], InvalidChord, "chord (-1,2) outside vertex range 0..5"),
+    ([(0, 2), (1, 3), (0, 3)], CrossingChords, "chords (0, 2) and (1, 3) cross"),
+    ([(0, 2), (0, 3)], WrongChordCount, "2 chords on a 6-gon; a triangulation has 3"),
+])
+def test_mop_error_order_and_messages(chords, error, message):
+    with pytest.raises(error) as err:
+        Mop(6, chords)
+    assert str(err.value) == message
+
+
+def test_mop_validation_keeps_normal_chord_tuples():
+    for m in enumerate_mops(8):
+        chords = list(m.chords)
+        again = Mop(8, chords)
+        assert again == m
+        assert {id(c) for c in again.chords} == {id(c) for c in chords}
+    # a reversed pair or a list is normalised into a new tuple
+    m = Mop(6, [(2, 0), [0, 3], (3, 5)])
+    assert m.chords == {(0, 2), (0, 3), (3, 5)}
+    assert all(type(c) is tuple for c in m.chords)
+
+
 def test_mop_json_round_trip():
     m = triple_fan(9)
     again = Mop.from_json_obj(m.to_json_obj())
@@ -392,6 +421,53 @@ def test_crossing_labelling_takes_the_walk(monkeypatch):
     assert _first_crossing(crossed.edges) == ((0, 2), (1, 4))
     assert cycle_histogram(crossed) == {3: 4, 4: 3, 5: 2, 6: 1}
     assert calls == [crossed]
+
+
+def _first_crossing_by_key(chords):
+    """The laminarity sweep with one sort key (a, -b) per chord: the
+    reference for `_first_crossing`, which walks the runs instead."""
+    stack = []
+    for c in sorted(chords, key=lambda c: (c[0], -c[1])):
+        a, b = c
+        while stack and stack[-1][1] <= a:
+            stack.pop()
+        if stack and b > stack[-1][1]:
+            return stack[-1], c
+        stack.append(c)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_crossing_matches_key_sorted_sweep(data):
+    n = data.draw(st.integers(4, 12), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    # few left ends, so runs sharing a left end are common
+    lefts = data.draw(st.sets(st.integers(0, n - 2), min_size=1, max_size=4))
+    chords = data.draw(st.sets(st.sampled_from(pairs), max_size=3 * n), label="chords")
+    chords |= data.draw(st.sets(st.sampled_from([p for p in pairs if p[0] in lefts]),
+                                min_size=1), label="shared")
+    assert _first_crossing(chords) == _first_crossing_by_key(chords)
+    # and on a host's edges plus a few more: no crossing, or a late one
+    host = data.draw(st.sampled_from(list(enumerate_mops(min(n, 8)))))
+    edges = set(host.graph.edges) | data.draw(st.sets(st.sampled_from(pairs), max_size=2))
+    assert _first_crossing(edges) == _first_crossing_by_key(edges)
+
+
+def test_host_caches_hold_one_hosts_reuse_and_stay_small():
+    graph_core._mop_graph.cache_clear()
+    graph_core._mop_triangles.cache_clear()
+    hosts = list(enumerate_mops(7))
+    for m in hosts:
+        before = graph_core._mop_graph.cache_info()
+        m.graph
+        m.triangles()
+        after = graph_core._mop_graph.cache_info()
+        # the graph is built once; the faces reuse it
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    # a sweep does not keep every host it has seen
+    assert graph_core._mop_graph.cache_info().currsize < len(hosts)
+    assert graph_core._mop_triangles.cache_info().currsize < len(hosts)
 
 
 def test_only_mop_graphs_skip_the_crossing_check(monkeypatch):

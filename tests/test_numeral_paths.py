@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opturan import numeral_paths
 from opturan.exactmath import catalan
 from opturan.graph_core import fan
 from opturan.guards import ScaleLimitError
@@ -47,6 +48,22 @@ def test_numeral_graph_validates_as_triangulation():
     for base, width in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (12, 2)]:
         g = numeral_graph(base, width)
         assert g.graph.edge_count() == 2 * g.n - 3
+
+
+def test_numeral_graph_hands_its_chord_set_to_mop_uncopied(monkeypatch):
+    handed = []
+    mop = numeral_paths.Mop
+
+    def spy(n, chords):
+        handed.append(chords)
+        return mop(n, chords)
+
+    monkeypatch.setattr(numeral_paths, "Mop", spy)
+    g = numeral_graph(10, 3)
+    [chords] = handed
+    assert type(chords) is set  # no frozenset copy before validation
+    # and validation copies no chord: the host keeps the very tuples built
+    assert {id(c) for c in g.mop.chords} == {id(c) for c in chords}
 
 
 def test_numeral_graph_guards_and_bad_args():
