@@ -233,7 +233,9 @@ def _cmd_subtrees(args) -> int:
 def _graph_output(args, command: str, params: dict, mop: graph_core.Mop) -> int:
     # JSON prints the chords alone; only text and DOT need the graph built.
     if args.format == "json":
-        _emit_json(command, params, mop.to_json_obj())
+        # json writes tuples as lists, so the sorted chord tuples print as
+        # to_json_obj's lists would, without a list per chord
+        _emit_json(command, params, {"n": mop.n, "chords": mop.sorted_chords()})
     elif args.format == "dot":
         sys.stdout.write(graph_core.graph_to_dot(mop.graph))
     else:

@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, Iterator
 
-from .guards import check_limit
+from .guards import ScaleLimitError, check_limit
 
 __all__ = [
     "MopError",
@@ -367,7 +367,11 @@ def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-    check_limit(n, MOP_ENUM_LIMIT, "polygon size n")
+    try:
+        check_limit(n, MOP_ENUM_LIMIT, "polygon size n")
+    except ScaleLimitError as exc:
+        exc.hint = "lower n (enumerate_mop_orbits takes no limit)"
+        raise
     for key in _orbit_keys(n):
         yield Mop(n, frozenset(_decode(n, key)))
 

@@ -143,24 +143,47 @@ def numeral_graph(base: int, width: int,
 # Step schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepSchedule:
     """Sequence of prescribed trailing-zero counts: starts at 0, never
-    rises by more than 1, never exceeds width-2."""
+    rises by more than 1, never exceeds width-2.
+
+    Every value is checked on construction.  A tuple of exact ints with an
+    int width >= 2 (what `enumerate_schedules` builds) is checked in one
+    loop and stored as it is.  Any other input (a list, a bool, float or
+    str element, a width that is not an int >= 2, or a schedule that
+    breaks a rule) takes the general path: each value is coerced with
+    int(), then the width and the rules are checked in that order, so
+    coercion, error order and messages are the same for every input."""
 
     values: tuple[int, ...]
     width: int
 
-    def __post_init__(self):
-        vs = tuple(map(int, self.values))
+    def __init__(self, values: Sequence[int], width: int):
+        if type(values) is tuple and type(width) is int and width >= 2:
+            cap = width - 2
+            prev = -1  # so the first value must be 0
+            for v in values:
+                if type(v) is not int or v < 0 or v > cap or v > prev + 1:
+                    break
+                prev = v
+            else:
+                # frozen: fill the instance dict itself, which is what
+                # object.__setattr__ does, without its lookup and call
+                fields = self.__dict__
+                fields["values"] = values
+                fields["width"] = width
+                return
+        vs = tuple(map(int, values))
         object.__setattr__(self, "values", vs)
-        if self.width < 2:
-            raise ValueError(f"width must be >= 2, got {self.width}")
+        object.__setattr__(self, "width", width)
+        if width < 2:
+            raise ValueError(f"width must be >= 2, got {width}")
         if vs:
-            cap = self.width - 2
+            cap = width - 2
             if vs[0] != 0:
                 _reject_schedule(vs, cap)
-            # range and rise in one pass; the message comes from the slow path
+            # range and rise in one pass; _reject_schedule words the message
             prev = 0
             for v in vs:
                 if v < 0 or v > cap or v > prev + 1:
@@ -335,9 +358,10 @@ def _adjacent_by_rule(x: int, y: int, base: int, width: int) -> bool:
     n = base**width
     if x == y:
         return False
+    d = (x - y) % n
     step = 1
     for _ in range(width):
-        if x % step == 0 and y % step == 0 and (x - y) % n in (step, n - step):
+        if (d == step or d == n - step) and x % step == 0 and y % step == 0:
             return True
         step *= base
     return (x != 0 and _zero_last_nonzero(x, base) == y) or (

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from opturan import graph_core
+from opturan import graph_core, numeral_paths
 from opturan.cli import OUTPUT_SCHEMA, run
 
 # stdout of `gen` for three constructions in every format, keyed by argv,
@@ -91,6 +91,20 @@ def test_gen_json_builds_no_graph(capture):
     assert code == 0 and check_json_line(out)["result"]["n"] == 1000
     # neither a miss nor a hit: the chords are printed without the graph
     assert graph_core._mop_graph.cache_info() == before
+
+
+@pytest.mark.parametrize("argv,params,build", [
+    (("--fan", "60"), {"fan": 60}, lambda: graph_core.fan(60)),
+    (("--triple-fan", "45"), {"triple_fan": 45}, lambda: graph_core.triple_fan(45)),
+    (("--numeral", "10", "3"), {"numeral": [10, 3]},
+     lambda: numeral_paths.numeral_graph(10, 3).mop),
+])
+def test_gen_json_prints_mop_to_json_obj(capture, argv, params, build):
+    # gen prints the sorted chord tuples; json must write them exactly as
+    # it writes to_json_obj's lists
+    code, out, err = capture("gen", *argv, "--format", "json")
+    obj = {"command": "gen", "params": params, "result": build().to_json_obj()}
+    assert (code, out, err) == (0, json.dumps(obj, separators=(", ", ": ")) + "\n", "")
 
 
 def test_gen_requires_exactly_one_construction(capture):

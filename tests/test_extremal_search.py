@@ -263,6 +263,9 @@ def test_max_fixed_endpoint_paths():
             assert max_fixed_endpoint_paths(n, k) <= bounds.any_pair(k)
     with pytest.raises(ScaleLimitError):
         max_fixed_endpoint_paths(11, 3)
+    # limit=None lifts this guard but not that of the orbit stream below it
+    with pytest.raises(ScaleLimitError, match="; lower n .*takes no limit"):
+        max_fixed_endpoint_paths(17, 3, limit=None)
     with pytest.raises(ValueError):
         max_fixed_endpoint_paths(5, 5)
 

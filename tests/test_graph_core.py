@@ -191,8 +191,13 @@ def test_dihedral_images_are_the_labelled_hosts_of_an_orbit():
 
 
 def test_enumerate_mop_orbits_guard():
-    with pytest.raises(ScaleLimitError):
+    with pytest.raises(ScaleLimitError) as err:
         next(enumerate_mop_orbits(17))
+    # enumerate_mop_orbits takes no limit, so its hint must not offer
+    # limit=None; args[0], which the CLI prints, keeps only the reason
+    reason = "polygon size n=17 exceeds the desk-scale guard 16"
+    assert err.value.args[0] == reason
+    assert str(err.value) == f"{reason}; lower n (enumerate_mop_orbits takes no limit)"
     with pytest.raises(ValueError):
         next(enumerate_mop_orbits(2))
 

@@ -1,5 +1,9 @@
 """Digit-rule graphs, step schedules, and the schedule-to-path injection."""
 
+import dataclasses
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,6 +144,113 @@ def test_schedule_validation_matches_reference(values, width):
     assert all(type(v) is int for v in sched.values)
 
 
+@dataclasses.dataclass(frozen=True)
+class _CoercingStepSchedule:
+    """StepSchedule before it took a fast path for tuples of ints: the
+    generated __init__, then every value coerced with int(), then the width
+    and the rules.  The reference for construction."""
+
+    values: tuple[int, ...]
+    width: int
+
+    def __post_init__(self):
+        vs = tuple(map(int, self.values))
+        object.__setattr__(self, "values", vs)
+        if self.width < 2:
+            raise ValueError(f"width must be >= 2, got {self.width}")
+        if vs:
+            cap = self.width - 2
+            if vs[0] != 0:
+                numeral_paths._reject_schedule(vs, cap)
+            prev = 0
+            for v in vs:
+                if v < 0 or v > cap or v > prev + 1:
+                    numeral_paths._reject_schedule(vs, cap)
+                prev = v
+
+
+_CoercingStepSchedule.__qualname__ = "StepSchedule"  # so the reprs compare
+
+_schedule_value = st.one_of(
+    st.integers(min_value=-3, max_value=8),
+    st.booleans(),
+    st.floats(min_value=-2, max_value=7),
+    st.sampled_from([float("nan"), float("inf")]),
+    st.integers(min_value=-2, max_value=7).map(str),
+    st.sampled_from(["1.5", "x", ""]),
+)
+
+
+def _build(cls, values, width):
+    try:
+        return cls(values, width)
+    except Exception as exc:  # the exception is the result being compared
+        return exc
+
+
+@st.composite
+def _schedule_like(draw, swap=_schedule_value):
+    """A run that keeps the start and rise rules (values may pass any cap),
+    with one value in four runs swapped for a draw from `swap`."""
+    values = []
+    for step in draw(st.lists(st.integers(min_value=-2, max_value=1), max_size=9)):
+        values.append(max(values[-1] + step, 0) if values else 0)
+    if values and draw(st.integers(min_value=0, max_value=3)) == 0:
+        values[draw(st.integers(min_value=0, max_value=len(values) - 1))] = draw(swap)
+    return values
+
+
+def _check_construction_against_reference(values, width):
+    got = _build(StepSchedule, values, width)
+    want = _build(_CoercingStepSchedule, values, width)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, StepSchedule)
+    assert got.values == want.values and got.width == want.width
+    assert [type(v) for v in got.values] == [type(v) for v in want.values]
+    assert type(got.width) is type(want.width)
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    twin = StepSchedule(list(values), width)
+    assert got == twin and hash(got) == hash(twin)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_schedule_like(swap=st.integers(min_value=-3, max_value=8)),
+       st.integers(min_value=-1, max_value=8))
+def test_int_tuple_schedules_match_coercing_reference(values, width):
+    # the inputs of the one-loop route: tuples of exact ints, int widths
+    _check_construction_against_reference(tuple(values), width)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_schedule_like(), st.lists(_schedule_value, max_size=9)),
+       st.booleans(),
+       st.sampled_from([*range(-1, 9), True, 3.0, 2.5, "4"]))
+def test_any_schedule_input_matches_coercing_reference(values, as_tuple, width):
+    _check_construction_against_reference(tuple(values) if as_tuple else values, width)
+
+
+def test_schedule_dataclass_surface():
+    sched = StepSchedule((0, 1, 1), 4)
+    assert [f.name for f in dataclasses.fields(StepSchedule)] == ["values", "width"]
+    assert sched == StepSchedule([0, True, 1.0], 4)
+    assert sched != StepSchedule((0, 1, 1), 5)
+    assert repr(sched) == "StepSchedule(values=(0, 1, 1), width=4)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.values = (0,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.width = 9
+    wider = dataclasses.replace(sched, values=[0, 1, 2], width=5)
+    assert wider == StepSchedule((0, 1, 2), 5) and type(wider.values) is tuple
+    with pytest.raises(ValueError, match="schedule value 1 at position 1 outside 0..0"):
+        dataclasses.replace(sched, width=2)
+    assert pickle.loads(pickle.dumps(sched)) == sched
+    with pytest.raises(TypeError):
+        StepSchedule((0,))
+
+
 @pytest.mark.parametrize("length,width,expected", [
     (2, 3, 2), (3, 3, 4), (3, 4, 5), (0, 5, 1), (1, 2, 1),
 ])
@@ -273,6 +384,54 @@ def test_schedule_to_path_precondition_errors():
         schedule_to_path(99, 87, sched, 10, 2, 8)  # digit 7 below edge count
     with pytest.raises(ValueError):
         schedule_to_path(99, 88, sched, 9, 2, 8)   # digit 9 invalid in base 9
+
+
+def _adjacent_by_rule_loop(x, y, base, width):
+    """Digit-rule adjacency as first written: for each power of the base,
+    both labels divisible by it and their cyclic distance equal to it, else
+    one label is the other with its last nonzero digit zeroed.  The
+    reference for numeral_paths._adjacent_by_rule."""
+    n = base**width
+    if x == y:
+        return False
+    step = 1
+    for _ in range(width):
+        if x % step == 0 and y % step == 0 and (x - y) % n in (step, n - step):
+            return True
+        step *= base
+    return (x != 0 and numeral_paths._zero_last_nonzero(x, base) == y) or (
+        y != 0 and numeral_paths._zero_last_nonzero(y, base) == x
+    )
+
+
+@pytest.mark.parametrize("base,width", [(2, 2), (2, 3), (2, 5), (3, 1), (3, 2),
+                                        (3, 3), (4, 2), (5, 2), (7, 2), (10, 2)])
+def test_adjacent_by_rule_matches_loop_on_every_pair(base, width):
+    n = base**width
+    edges = numeral_graph(base, width).graph.edges
+    for x in range(n):
+        for y in range(n):
+            got = numeral_paths._adjacent_by_rule(x, y, base, width)
+            assert got == _adjacent_by_rule_loop(x, y, base, width), (x, y)
+            assert got == ((min(x, y), max(x, y)) in edges), (x, y)
+
+
+def test_adjacent_by_rule_matches_loop_on_random_pairs():
+    base, width = 30, 3
+    n = base**width
+    rng = random.Random(20241018)
+    zero_last = numeral_paths._zero_last_nonzero
+    outcomes = [0, 0]
+    for _ in range(20000):
+        p = base ** rng.randrange(width)
+        x = rng.randrange(n // p) * p  # a multiple of p, so x +- p is a chain step
+        y = rng.choice([rng.randrange(n), x, (x + p) % n, (x - p) % n,
+                        (x + base * p) % n, zero_last(x, base) if x else 1])
+        for a, b in ((x, y), (y, x)):
+            got = numeral_paths._adjacent_by_rule(a, b, base, width)
+            assert got == _adjacent_by_rule_loop(a, b, base, width), (a, b)
+            outcomes[got] += 1
+    assert min(outcomes) > 10000  # both answers are well sampled
 
 
 def test_schedule_paths_distinct_and_valid_small():
