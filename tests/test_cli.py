@@ -16,6 +16,10 @@ from opturan.cli import OUTPUT_SCHEMA, run
 # recorded before `gen` stopped building the graph for JSON output.
 GEN_STDOUT = json.loads((Path(__file__).parent / "gen_stdout.json").read_text())
 GAMMA_STDOUT = json.loads((Path(__file__).parent / "gamma_stdout.json").read_text())
+# exit code, stdout and stderr of every subcommand in every format it offers,
+# keyed by argv and run in a directory holding "files", recorded before the
+# subcommands shared one writer of stdout.
+CLI_STDOUT = json.loads((Path(__file__).parent / "cli_stdout.json").read_text())
 
 
 @pytest.fixture
@@ -83,6 +87,15 @@ def test_gen_fan_edges_and_dot(capture, tmp_path):
 def test_gen_stdout_is_unchanged(capture, argv):
     code, out, err = capture(*argv.split())
     assert (code, out, err) == (0, GEN_STDOUT[argv], "")
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_STDOUT["runs"]))
+def test_cli_stdout_is_unchanged(capture, argv, tmp_path, monkeypatch):
+    for name, text in CLI_STDOUT["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = capture(*argv.split())
+    assert {"exit": code, "stdout": out, "stderr": err} == CLI_STDOUT["runs"][argv]
 
 
 def test_gen_json_builds_no_graph(capture):
