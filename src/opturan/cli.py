@@ -16,11 +16,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import exactmath, extremal_search, graph_core, numeral_paths, tree_engine
-from .guards import ScaleLimitError
+from .guards import ScaleLimitError, check_limit
 
 __all__ = ["run", "main", "OUTPUT_SCHEMA"]
+
+SCHEDULE_COUNT_LIMIT = 10**6  # schedules `gamma --enumerate` lists without --unsafe-scale
 
 
 OUTPUT_SCHEMA = {
@@ -156,9 +159,18 @@ OUTPUT_SCHEMA = {
 }
 
 
-def _emit_json(command: str, params: dict, result) -> None:
-    obj = {"command": command, "params": params, "result": result}
-    print(json.dumps(obj, separators=(", ", ": ")))
+def _emit(args, params: dict, **formats) -> int:
+    """Write a command's answer to stdout, the only writer of stdout here.
+    formats maps each format offered to a thunk; only args.format's runs.
+    json's returns the result for the one-line envelope; every other's
+    yields newline-terminated text, each piece written as it is produced."""
+    produce = formats[args.format]
+    if args.format == "json":
+        envelope = {"command": args.command, "params": params, "result": produce()}
+        print(json.dumps(envelope, separators=(", ", ": ")))
+    else:
+        sys.stdout.writelines(produce())
+    return 0
 
 
 def _rational_text(value: Fraction) -> str:
@@ -192,23 +204,22 @@ def _cmd_c_table(args) -> int:
         return 2
     ks = list(range(3, args.max_k + 1))
     values = [exactmath.cycle_density(k) for k in ks]
-    if args.format == "json":
-        result = [{"k": k, "value": exactmath.rational_to_json(v)}
-                  for k, v in zip(ks, values)]
-        _emit_json("c-table", {"max_k": args.max_k}, result)
-    elif args.format == "csv":
-        print("k,numerator,denominator")
-        for k, v in zip(ks, values):
-            print(f"{k},{v.numerator},{v.denominator}")
-    else:
+
+    def text():
         cells = [_rational_text(v) for v in values]
         kw = [max(len(str(k)), len(c)) for k, c in zip(ks, cells)]
         head = "k      | " + " | ".join(str(k).rjust(w) for k, w in zip(ks, kw))
         vals = "c(k)   | " + " | ".join(c.rjust(w) for c, w in zip(cells, kw))
-        print(head)
-        print("-" * len(head))
-        print(vals)
-    return 0
+        yield f"{head}\n{'-' * len(head)}\n{vals}\n"
+
+    def csv():
+        yield "k,numerator,denominator\n"
+        for k, v in zip(ks, values):
+            yield f"{k},{v.numerator},{v.denominator}\n"
+
+    return _emit(args, {"max_k": args.max_k}, text=text, csv=csv,
+                 json=lambda: [{"k": k, "value": exactmath.rational_to_json(v)}
+                               for k, v in zip(ks, values)])
 
 
 def _cmd_subtrees(args) -> int:
@@ -220,40 +231,17 @@ def _cmd_subtrees(args) -> int:
     else:
         count = tree_engine.count_subtrees_total(tree)
         params = {"tree": args.tree, "total": True}
-    if args.format == "json":
-        _emit_json("subtrees", params, {"count": count})
-    elif args.format == "csv":
-        print("k,count")
-        print(f"{args.k if args.k is not None else 'total'},{count}")
-    else:
-        print(count)
-    return 0
-
-
-def _graph_output(args, command: str, params: dict, mop: graph_core.Mop) -> int:
-    # JSON prints the chords alone; only text and DOT need the graph built.
-    if args.format == "json":
-        # json writes tuples as lists, so the sorted chord tuples print as
-        # to_json_obj's lists would, without a list per chord
-        _emit_json(command, params, {"n": mop.n, "chords": mop.sorted_chords()})
-    elif args.format == "dot":
-        sys.stdout.write(graph_core.graph_to_dot(mop.graph))
-    else:
-        sys.stdout.write(graph_core.format_edge_list(mop.graph))
-    return 0
+    return _emit(args, params, text=lambda: [f"{count}\n"],
+                 csv=lambda: ["k,count\n", f"{params.get('k', 'total')},{count}\n"],
+                 json=lambda: {"count": count})
 
 
 def _cmd_greedy(args) -> int:
     tree = tree_engine.greedy_tree(args.d, args.n)
-    if args.format == "dot":
-        sys.stdout.write(graph_core.graph_to_dot(tree, "T"))
-        return 0
-    if args.format == "json":
-        _emit_json("greedy", {"d": args.d, "n": args.n},
-                   {"n": tree.n, "edges": [list(e) for e in sorted(tree.edges)]})
-        return 0
-    sys.stdout.write(tree_engine.format_tree_text(tree))
-    return 0
+    return _emit(args, {"d": args.d, "n": args.n},
+                 text=lambda: [tree_engine.format_tree_text(tree)],
+                 dot=lambda: [graph_core.graph_to_dot(tree, "T")],
+                 json=lambda: {"n": tree.n, "edges": [list(e) for e in sorted(tree.edges)]})
 
 
 def _unsafe_scale(args, guard: str) -> dict:
@@ -266,9 +254,7 @@ def _unsafe_scale(args, guard: str) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    chosen = [name for name in ("fan", "triple_fan", "numeral")
-              if getattr(args, name) is not None]
-    if len(chosen) != 1:
+    if sum(getattr(args, name) is not None for name in ("fan", "triple_fan", "numeral")) != 1:
         print("gen: choose exactly one of --fan, --triple-fan, --numeral",
               file=sys.stderr)
         return 2
@@ -283,7 +269,11 @@ def _cmd_gen(args) -> int:
         mop = numeral_paths.numeral_graph(
             base, width, **_unsafe_scale(args, "vertex-count")).mop
         params = {"numeral": [base, width]}
-    return _graph_output(args, "gen", params, mop)
+    # only text and DOT build the graph; json writes the sorted chord
+    # tuples exactly as it would write to_json_obj's lists
+    return _emit(args, params, text=lambda: [graph_core.format_edge_list(mop.graph)],
+                 dot=lambda: [graph_core.graph_to_dot(mop.graph)],
+                 json=lambda: {"n": mop.n, "chords": mop.sorted_chords()})
 
 
 def _read_pattern(text: str) -> graph_core.Pattern:
@@ -299,41 +289,29 @@ def _cmd_count(args) -> int:
         g = graph_core.parse_edge_list(fh.read())
     pattern = _read_pattern(args.pattern)
     (count,) = graph_core.count_patterns(g, [pattern])
-    params = {"graph": args.graph, "pattern": args.pattern}
-    if args.format == "json":
-        _emit_json("count", params, {"count": count})
-    elif args.format == "csv":
-        print("pattern,count")
-        print(f"{pattern.describe()},{count}")
-    else:
-        print(count)
-    return 0
+    return _emit(args, {"graph": args.graph, "pattern": args.pattern},
+                 text=lambda: [f"{count}\n"],
+                 csv=lambda: ["pattern,count\n", f"{pattern.describe()},{count}\n"],
+                 json=lambda: {"count": count})
 
 
 def _cmd_gamma(args) -> int:
     params = {"L": args.L, "t": args.t}
     count = numeral_paths.count_schedules(args.L, args.t)
-    if args.enumerate:
-        schedules = [list(s.values) for s in numeral_paths.enumerate_schedules(
-            args.L, args.t, **_unsafe_scale(args, "enumeration"))]
-        if args.format == "json":
-            _emit_json("gamma", params, {"count": count, "schedules": schedules})
-        elif args.format == "csv":
-            print("schedule")
-            for s in schedules:
-                print(" ".join(map(str, s)))
-        else:
-            for s in schedules:
-                print(json.dumps(s))
-        return 0
-    if args.format == "json":
-        _emit_json("gamma", params, {"count": count})
-    elif args.format == "csv":
-        print("length,width,count")
-        print(f"{args.L},{args.t},{count}")
-    else:
-        print(count)
-    return 0
+    if not args.enumerate:
+        return _emit(args, params, text=lambda: [f"{count}\n"],
+                     csv=lambda: ["length,width,count\n", f"{args.L},{args.t},{count}\n"],
+                     json=lambda: {"count": count})
+    scale = _unsafe_scale(args, "enumeration")
+    stream = numeral_paths.enumerate_schedules(args.L, args.t, **scale)
+    first = next(stream)  # the length guard fires here, before any output
+    check_limit(count, scale.get("limit", SCHEDULE_COUNT_LIMIT), "schedule count")
+    schedules = (s.values for s in chain([first], stream))
+    return _emit(args, params,
+                 text=lambda: (json.dumps(list(s)) + "\n" for s in schedules),
+                 csv=lambda: chain(["schedule\n"],
+                                   (" ".join(map(str, s)) + "\n" for s in schedules)),
+                 json=lambda: {"count": count, "schedules": [list(s) for s in schedules]})
 
 
 def _cmd_inject(args) -> int:
@@ -342,20 +320,16 @@ def _cmd_inject(args) -> int:
         print(f"inject: k={args.k} is below 2*t={2 * args.t}", file=sys.stderr)
         return 2
     if args.all_seqs:
-        schedules = list(numeral_paths.enumerate_schedules(length, args.t))
+        schedules = numeral_paths.enumerate_schedules(length, args.t)
     else:
         schedules = [numeral_paths.StepSchedule((0,) * length, args.t)]
-    paths = [numeral_paths.schedule_to_path(args.A, args.B, s, args.N, args.t,
-                                            args.k)
-             for s in schedules]
+    # schedule_to_path rejects bad input on the first path, before any output
+    paths = (numeral_paths.schedule_to_path(args.A, args.B, s, args.N, args.t, args.k)
+             for s in schedules)
     params = {"N": args.N, "t": args.t, "k": args.k, "A": args.A, "B": args.B,
               "all_seqs": bool(args.all_seqs)}
-    if args.format == "json":
-        _emit_json("inject", params, {"paths": paths})
-    else:
-        for p in paths:
-            print(" ".join(map(str, p)))
-    return 0
+    return _emit(args, params, text=lambda: (" ".join(map(str, p)) + "\n" for p in paths),
+                 json=lambda: {"paths": list(paths)})
 
 
 def _cmd_extremal(args) -> int:
@@ -363,25 +337,22 @@ def _cmd_extremal(args) -> int:
     result = extremal_search.brute_force_maximum(
         args.n, pattern, dedup=not args.no_dedup, jobs=args.jobs,
         **_unsafe_scale(args, "brute-force"))
-    if args.format == "json":
-        _emit_json("extremal", {"n": args.n, "pattern": args.pattern},
-                   result.to_json_obj())
-    else:
-        print(f"n={result.n} pattern={result.pattern.describe()} "
-              f"maximum={result.maximum}")
+
+    def text():
+        yield f"n={result.n} pattern={result.pattern.describe()} maximum={result.maximum}\n"
         label = "maximizers (up to isomorphism)" if result.deduped else "maximizers"
-        print(f"{label}: {len(result.maximizers)}")
+        yield f"{label}: {len(result.maximizers)}\n"
         for chords in result.maximizers:
-            print("  chords " + " ".join(f"{a}-{b}" for a, b in chords))
-    return 0
+            yield "  chords " + " ".join(f"{a}-{b}" for a, b in chords) + "\n"
+
+    return _emit(args, {"n": args.n, "pattern": args.pattern}, text=text,
+                 json=result.to_json_obj)
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    for key, sugar in (("max_n", args.max_n), ("max_k", args.max_k),
-                       ("max_l", args.max_l), ("max_t", args.max_t)):
-        if sugar is not None:
-            overrides[key] = sugar
+    overrides = {key: sugar for key, sugar in (("max_n", args.max_n), ("max_k", args.max_k),
+                                               ("max_l", args.max_l), ("max_t", args.max_t))
+                 if sugar is not None}
     for item in args.param or ():
         key, _, value = item.partition("=")
         if not value:
@@ -389,11 +360,8 @@ def _cmd_verify(args) -> int:
             return 2
         overrides[key.replace("-", "_")] = int(value) if value.lstrip("-").isdigit() else value
     report = extremal_search.verify_suite(args.suite, jobs=args.jobs, **overrides)
-    if args.format == "json":
-        obj = report.to_json_obj()
-        _emit_json("verify", {"suite": args.suite}, obj)
-    else:
-        sys.stdout.write(report.to_text())
+    _emit(args, {"suite": args.suite}, text=lambda: [report.to_text()],
+          json=report.to_json_obj)
     return 0 if report.passed else 1
 
 
@@ -419,24 +387,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, choices, default):
-        p.add_argument("--format", choices=choices, default=default)
+    def add_format(p, *choices):
+        p.add_argument("--format", choices=("text", *choices), default="text")
 
     p = sub.add_parser("c-table", help="exact cycle-density table")
     p.add_argument("--max-k", type=int, default=12)
-    add_format(p, ("text", "json", "csv"), "text")
+    add_format(p, "json", "csv")
     p.set_defaults(func=_cmd_c_table)
 
     p = sub.add_parser("subtrees", help="count k-vertex subtrees of a tree file")
     p.add_argument("--tree", required=True)
     p.add_argument("-k", type=int, default=None)
-    add_format(p, ("text", "json", "csv"), "text")
+    add_format(p, "json", "csv")
     p.set_defaults(func=_cmd_subtrees)
 
     p = sub.add_parser("greedy", help="breadth-first bounded-degree tree")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    add_format(p, ("text", "json", "dot"), "text")
+    add_format(p, "json", "dot")
     p.set_defaults(func=_cmd_greedy)
 
     p = sub.add_parser("gen", help="generate a named triangulation")
@@ -444,14 +412,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple-fan", dest="triple_fan", type=int, default=None)
     p.add_argument("--numeral", nargs=2, type=int, metavar=("N", "T"), default=None)
     p.add_argument("--unsafe-scale", action="store_true")
-    add_format(p, ("text", "json", "dot"), "text")
+    add_format(p, "json", "dot")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("count", help="count a pattern in an edge-list graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", required=True,
                    help="cycle:K | path:K (K edges) | tree:FILE")
-    add_format(p, ("text", "json", "csv"), "text")
+    add_format(p, "json", "csv")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("gamma", help="count or enumerate step schedules")
@@ -459,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--unsafe-scale", action="store_true")
-    add_format(p, ("text", "json", "csv"), "text")
+    add_format(p, "json", "csv")
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("inject", help="schedule-indexed fixed-endpoint paths")
@@ -469,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--all-seqs", dest="all_seqs", action="store_true")
-    add_format(p, ("text", "json"), "text")
+    add_format(p, "json")
     p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser("extremal", help="brute-force maximum over triangulations")
@@ -478,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--unsafe-scale", action="store_true")
-    add_format(p, ("text", "json"), "text")
+    add_format(p, "json")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -490,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-l", type=int, default=None)
     p.add_argument("--max-t", type=int, default=None)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    add_format(p, ("text", "json"), "text")
+    add_format(p, "json")
     p.set_defaults(func=_cmd_verify)
 
     return parser

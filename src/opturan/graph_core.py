@@ -21,6 +21,7 @@ oracle, not to be fast.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -347,6 +348,10 @@ def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     check_limit(n, limit, "polygon size n")
+    depth = sys.getrecursionlimit() // 2  # _triangulation_chords nests n generators
+    if n > depth:
+        raise ValueError(f"polygon size n={n} exceeds {depth}, the deepest "
+                         "triangulation stream the recursion limit allows")
     if first_apex is not None and not (1 <= first_apex <= n - 2):
         raise ValueError(f"first_apex must be in 1..{n - 2}, got {first_apex}")
     apexes = None if first_apex is None else (first_apex,)

@@ -148,11 +148,6 @@ def count_subtrees_total(tree: Tree) -> int:
 # Isomorphism-free generation
 # ---------------------------------------------------------------------------
 
-def _rooted_form(tree: Tree, v: int, parent: int):
-    return tuple(sorted(_rooted_form(tree, w, v)
-                        for w in tree.neighbors(v) if w != parent))
-
-
 def tree_canonical_form(tree: Tree):
     """Canonical nested-tuple form: root at the centroid, or combine the
     two rooted halves when a centroid edge exists.  Equal forms mean
@@ -160,6 +155,12 @@ def tree_canonical_form(tree: Tree):
 
     One postorder pass gives every subtree size; the largest component
     left by deleting v is its largest child subtree or the rest above it.
+    A second pass, rooted at the centroid, writes each rooted subtree
+    bottom-up as a bracket string: "1", its children's strings in sorted
+    order, "0".  String order is the tuple order of the forms, so no two
+    deep tuples are ever compared, and the form is read off the string
+    with a stack: no depth of tree costs recursion.  The strings alive at
+    once hold at most 2n characters; building them copies O(n * height).
     """
     n = tree.n
     if n == 1:
@@ -173,10 +174,21 @@ def tree_canonical_form(tree: Tree):
             weight[parent] = max(weight[parent], size[v])
     best = min(weight)
     centroids = [v for v in range(n) if weight[v] == best]
-    if len(centroids) == 1:
-        return ("v", _rooted_form(tree, centroids[0], -1))
-    a, b = centroids
-    return ("e", tuple(sorted((_rooted_form(tree, a, b), _rooted_form(tree, b, a)))))
+    root = centroids[0]
+    other = centroids[1] if len(centroids) == 2 else -1  # the far end of a centroid edge
+    text = {}  # a child's string is dropped once its parent's is built
+    for v, parent in _postorder(tree, root):
+        text[v] = "1" + "".join(sorted([text.pop(w) for w in tree.neighbors(v)
+                                        if w != parent and w != other])) + "0"
+    halves = sorted([text[root], text[other]]) if other >= 0 else [text[root]]
+    stack = [[]]
+    for bracket in "".join(halves):
+        if bracket == "1":
+            stack.append([])
+        else:
+            closed = tuple(stack.pop())
+            stack[-1].append(closed)
+    return ("e", tuple(stack[0])) if other >= 0 else ("v", stack[0][0])
 
 
 @lru_cache(maxsize=64)

@@ -1,15 +1,18 @@
 """Command-line surface: exit codes, formats, schema, determinism."""
 
+import io
 import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opturan import graph_core, numeral_paths
+from opturan import cli, extremal_search, graph_core, numeral_paths
 from opturan.cli import OUTPUT_SCHEMA, run
 
 # stdout of `gen` for three constructions in every format, keyed by argv,
@@ -237,6 +240,54 @@ def test_gamma_enumerate_stdout_is_unchanged(capture, argv):
     assert (code, out, err) == (0, GAMMA_STDOUT[argv], "")
 
 
+def test_gamma_enumerate_count_guard(capture, monkeypatch):
+    assert numeral_paths.count_schedules(13, 14) == 742_900 <= cli.SCHEDULE_COUNT_LIMIT
+    for fmt in ("text", "csv", "json"):
+        code, out, err = capture("gamma", "-L", "20", "-t", "21", "--enumerate",
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("gamma: schedule count=6564120420 exceeds the desk-scale guard "
+                       "1000000; pass limit=None (CLI: --unsafe-scale) to override\n")
+    # the length guard still speaks first, and no CSV header gets out
+    # before it, even where the count (here 1) is small
+    code, out, err = capture("gamma", "-L", "21", "-t", "2", "--enumerate",
+                             "--format", "csv")
+    assert (code, out) == (2, "") and "schedule length=21" in err
+    # --unsafe-scale lifts the count guard, shown on a lowered one
+    monkeypatch.setattr(cli, "SCHEDULE_COUNT_LIMIT", 13)
+    code, out, err = capture("gamma", "-L", "4", "-t", "5", "--enumerate")
+    assert (code, out) == (2, "") and "schedule count=14 exceeds" in err
+    code, out, err = capture("gamma", "-L", "4", "-t", "5", "--enumerate", "--unsafe-scale")
+    assert code == 0 and len(out.splitlines()) == 14
+    assert err == "warning: --unsafe-scale lifts the enumeration guard\n"
+
+
+# run() on argv in a fresh interpreter, stdout discarded; stderr ends with
+# the exit code and the peak RSS in KiB.  The peak is read from VmHWM, not
+# getrusage, whose maximum a child carries over from the parent it forked from.
+MEASURE_RSS = ("import sys\nfrom opturan.cli import run\ncode = run(sys.argv[1:])\n"
+               "peak = next(line.split()[1] for line in open('/proc/self/status')\n"
+               "            if line.startswith('VmHWM:'))\n"
+               "print(code, peak, file=sys.stderr)")
+
+
+def max_rss_kib(*argv) -> int:
+    proc = subprocess.run([sys.executable, "-c", MEASURE_RSS, *argv], text=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=300)
+    code, rss = proc.stderr.split()[-2:]
+    assert code == "0", proc.stderr
+    return int(rss)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_gamma_enumerate_streams_its_text():
+    # 208 012 schedules take no more memory than one: each line is written
+    # as it is made
+    small = max_rss_kib("gamma", "-L", "1", "-t", "2", "--enumerate", "--format", "csv")
+    large = max_rss_kib("gamma", "-L", "12", "-t", "13", "--enumerate", "--format", "csv")
+    assert large - small <= 2048
+
+
 def test_inject_single_and_all(capture):
     code, out, _ = capture("inject", "--N", "10", "--t", "2", "--k", "8",
                            "--A", "99", "--B", "88")
@@ -272,6 +323,18 @@ def test_extremal_text_and_json(capture):
 def test_extremal_guard_and_unsafe(capture):
     code, _, err = capture("extremal", "-n", "12", "--pattern", "cycle:3")
     assert code == 2 and "guard" in err and "(CLI: --unsafe-scale) to override" in err
+
+
+def test_extremal_past_the_stream_depth_exits_two(capture):
+    # the labelled triangulation stream nests one generator per polygon
+    # vertex; past the recursion limit's reach it refuses the size
+    code, out, err = capture("extremal", "-n", "1100", "--pattern", "cycle:3",
+                             "--unsafe-scale")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "warning: --unsafe-scale lifts the brute-force guard",
+        f"extremal: polygon size n=1100 exceeds {sys.getrecursionlimit() // 2}, the "
+        "deepest triangulation stream the recursion limit allows"]
 
 
 def test_verify_exit_codes(capture):
@@ -383,3 +446,100 @@ def test_jobs_do_not_perturb_output():
                               "--max-n", "8", "--jobs", "3")
     assert base.stdout == jobs.stdout
     assert base.returncode == jobs.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over generated argv
+# ---------------------------------------------------------------------------
+
+ARGV_FILES = {
+    "tree.txt": "7\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n",
+    "star.txt": "4\n0 1\n0 2\n0 3\n",
+    "host.txt": CLI_STDOUT["files"]["host.txt"],
+    "k5.txt": "5\n" + "".join(f"{a} {b}\n" for a in range(5) for b in range(a + 1, 5)),
+    "cycle.txt": "4\n0 1\n1 2\n2 3\n3 0\n",
+    "junk.txt": "not a graph\n",
+}
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    for name, text in ARGV_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+def _argv(files: Path):
+    """argv for every subcommand at desk scale: mostly well-formed, with
+    out-of-range numbers, junk values, missing files and clashing options."""
+    def ints(lo, hi):
+        return st.sampled_from([*range(hi, lo - 1, -1), "x"]).map(str)
+
+    def opt(flag, values):  # an option that may be left out
+        return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+    def req(flag, values):
+        return values.map(lambda v: [flag, v])
+
+    def flag(name):
+        return st.sampled_from([[], [name]])
+
+    def seq(*parts):
+        return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+    fmt = opt("--format", st.sampled_from(["text", "json", "csv", "dot", "xml"]))
+    file = st.sampled_from([*ARGV_FILES, "missing.txt"]).map(lambda f: str(files / f))
+    pattern = req("--pattern", st.one_of(
+        st.tuples(st.sampled_from(["cycle", "path", "star"]), ints(-1, 9)).map(":".join),
+        file.map(lambda f: f"tree:{f}")))
+    jobs = opt("--jobs", st.sampled_from(["1", "0", "x"]))
+    construction = st.one_of(
+        req("--fan", ints(-1, 40)), req("--triple-fan", ints(-1, 40)),
+        st.tuples(ints(-1, 6), ints(-1, 4)).map(lambda bw: ["--numeral", *bw]))
+    def inject_argv(case):  # a valid call with at most one value replaced
+        good, replaced, junk = case
+        return [a for i, (name, value) in enumerate(zip(("--N", "--t", "--k", "--A", "--B"), good))
+                for a in (name, junk if i == replaced else value)]
+
+    inject = st.tuples(st.sampled_from([("10", "2", "8", "99", "88"),
+                                        ("30", "3", "10", "26999", "13965"),
+                                        ("30", "3", "13", "26999", "13965")]),
+                       st.one_of(st.just(-1), st.integers(0, 4)), ints(-1, 14)).map(inject_argv)
+    params = st.lists(st.sampled_from(["n=12", "k=4", "max_k=3", "max_n=x", "zap=1",
+                                       "novalue", "max_l_products=2"]),
+                      max_size=2).map(lambda ps: [a for p in ps for a in ("--param", p)])
+    # injection has no size to lower and gamma's defaults take a second
+    cheap_suites = [s for s in extremal_search.suite_names() if s not in ("injection", "gamma")]
+    return st.one_of(
+        seq(st.just(["c-table"]), opt("--max-k", ints(-1, 30)), fmt),
+        seq(st.just(["subtrees"]), req("--tree", file), opt("-k", ints(-1, 8)), fmt),
+        seq(st.just(["greedy"]), req("-d", ints(-1, 4)), req("-n", ints(-1, 30)), fmt),
+        seq(st.just(["gen"]), st.lists(construction, max_size=2).map(lambda cs: sum(cs, [])),
+            flag("--unsafe-scale"), fmt),
+        seq(st.just(["count"]), req("--graph", file), pattern, fmt),
+        seq(st.just(["gamma"]), req("-L", ints(-2, 9)), req("-t", ints(-1, 7)),
+            flag("--enumerate"), flag("--unsafe-scale"), fmt),
+        seq(st.just(["inject"]), inject, flag("--all-seqs"), fmt),
+        seq(st.just(["extremal"]), req("-n", ints(-1, 8)), pattern, flag("--no-dedup"),
+            jobs, flag("--unsafe-scale"), fmt),
+        seq(st.just(["verify"]), req("--suite", st.sampled_from(cheap_suites)),
+            opt("--max-n", ints(-1, 8)), opt("--max-k", ints(-1, 20)), params, jobs, fmt),
+        seq(st.just(["verify", "--suite", "gamma"]), req("--max-l", ints(-1, 6)),
+            opt("--max-t", ints(-1, 5)), params, fmt),
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_exit_code_contract(argv_dir, data):
+    """0 success, 1 a failing verification only, 2 usage or input error, and
+    never a traceback; a refused call writes nothing to stdout."""
+    argv = data.draw(_argv(argv_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)  # an exception here would be a traceback at the shell
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    assert code != 2 or out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 """Host graphs, triangulation enumeration, and the counting oracles."""
 
 import itertools
+import sys
 import tracemalloc
 
 import pytest
@@ -143,6 +144,16 @@ def test_enumerate_mops_guard():
         next(enumerate_mops(17))
     with pytest.raises(ValueError):
         next(enumerate_mops(2))
+
+
+def test_enumerate_mops_depth_ceiling():
+    # the stream nests one generator per polygon vertex: up to the ceiling
+    # it yields, past it it refuses the size instead of overflowing
+    depth = sys.getrecursionlimit() // 2
+    first = next(enumerate_mops(depth, limit=None))
+    assert first.n == depth and len(first.chords) == depth - 3
+    with pytest.raises(ValueError, match=f"polygon size n={depth + 1} exceeds {depth},"):
+        next(enumerate_mops(depth + 1, limit=None))
 
 
 def test_enumerate_mops_apex_partition():

@@ -3,6 +3,7 @@ networkx free-tree generator."""
 
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -291,8 +292,109 @@ def test_canonical_form_matches_flood_fill_centroids():
             tree = Tree(n, list(g.edges()))
             assert tree_canonical_form(tree) == reference_canonical_form(tree)
     rng = random.Random(20211)
+    for n in range(1, 11):
+        for d in (2, 3, 4):
+            for tree in enumerate_bounded_trees(n, d):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for t in (tree, tree.relabel(perm)):
+                    assert tree_canonical_form(t) == reference_canonical_form(t)
     for tree in random_labelled_trees(rng, 150, 200):
         assert tree_canonical_form(tree) == reference_canonical_form(tree)
+
+
+def test_bounded_trees_unchanged_under_recursive_forms():
+    """Leaf-grow-and-dedup keyed by the recursive reference form gives the
+    same classes, the same representatives, in the same order."""
+    for d in (2, 3, 4):
+        level = [Tree(1, [])]
+        for n in range(2, 11):
+            grown = {}
+            for t in level:
+                for v in range(t.n):
+                    if t.degree(v) < d:
+                        g = Tree(n, [*t.edges, (v, n - 1)])
+                        grown.setdefault(reference_canonical_form(g), g)
+            level = [grown[key] for key in sorted(grown)]
+            assert list(enumerate_bounded_trees(n, d)) == level
+
+
+def brackets(node) -> str:
+    """A rooted form as "1", its children's strings, "0", without recursion."""
+    out, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            out.append("0")
+        else:
+            out.append("1")
+            stack.append(None)
+            stack.extend(reversed(item))
+    return "".join(out)
+
+
+def form_graph(form) -> nx.Graph:
+    """The tree a canonical form describes, built without recursion."""
+    kind, body = form
+    halves = [body] if kind == "v" else list(body)
+    g = nx.empty_graph(len(halves))
+    if kind == "e":
+        g.add_edge(0, 1)
+    stack = list(enumerate(halves))
+    while stack:
+        v, node = stack.pop()
+        for child in node:
+            w = g.number_of_nodes()
+            g.add_edge(v, w)
+            stack.append((w, child))
+    return g
+
+
+def caterpillar(legs):
+    """A path with legs[i] leaves hung on its i-th vertex."""
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    for v, count in enumerate(legs):
+        for _ in range(count):
+            edges.append((v, len(edges) + 1))
+    return Tree(len(edges) + 1, edges)
+
+
+def form_brackets(form):
+    """A canonical form made comparable without recursion."""
+    return form[0], brackets(form[1])
+
+
+def test_canonical_form_of_deep_trees():
+    # a recursive form overflows the interpreter's stack on these, and so
+    # does comparing two deep nested tuples
+    path = path_tree(3000)
+    tracemalloc.start()
+    try:
+        form = tree_canonical_form(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half = "1" * 1500 + "0" * 1500
+    assert form_brackets(form) == ("e", f"1{half}{half}0")
+    # every string kept to the end would hold 4.5 * 10^6 characters
+    assert peak < 2_000_000
+    iso = nx.isomorphism.tree_isomorphism
+    rng = random.Random(3)
+    legs = [rng.randrange(3) for _ in range(1500)]
+    tree = caterpillar(legs)
+    form = tree_canonical_form(tree)
+    assert iso(form_graph(form), nx.Graph(tree.edges))
+    perm = list(range(tree.n))
+    rng.shuffle(perm)
+    assert form_brackets(tree_canonical_form(tree.relabel(perm))) == form_brackets(form)
+    # move one leg far along the spine: a different tree on as many vertices
+    moved = list(legs)
+    moved[legs.index(2)] -= 1
+    moved[max(i for i, c in enumerate(legs) if c < 2)] += 1
+    other = caterpillar(moved)
+    assert not iso(nx.Graph(other.edges), nx.Graph(tree.edges))
+    assert form_brackets(tree_canonical_form(other)) != form_brackets(form)
+    assert iso(form_graph(tree_canonical_form(other)), nx.Graph(other.edges))
 
 
 def test_weak_duals_are_graphs():
