@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -23,7 +24,7 @@ from .guards import ScaleLimitError, check_limit
 
 __all__ = ["run", "main", "OUTPUT_SCHEMA"]
 
-SCHEDULE_COUNT_LIMIT = 10**6  # schedules `gamma --enumerate` lists without --unsafe-scale
+SCHEDULE_COUNT_LIMIT = 10**6  # schedules `gamma --enumerate` or `inject --all-seqs` may list
 
 
 OUTPUT_SCHEMA = {
@@ -163,13 +164,22 @@ def _emit(args, params: dict, **formats) -> int:
     """Write a command's answer to stdout, the only writer of stdout here.
     formats maps each format offered to a thunk; only args.format's runs.
     json's returns the result for the one-line envelope; every other's
-    yields newline-terminated text, each piece written as it is produced."""
+    yields newline-terminated text, each piece written as it is produced.
+    A reader that closes stdout early stops the output quietly."""
     produce = formats[args.format]
-    if args.format == "json":
-        envelope = {"command": args.command, "params": params, "result": produce()}
-        print(json.dumps(envelope, separators=(", ", ": ")))
-    else:
-        sys.stdout.writelines(produce())
+    try:
+        if args.format == "json":
+            envelope = {"command": args.command, "params": params, "result": produce()}
+            print(json.dumps(envelope, separators=(", ", ": ")))
+        else:
+            sys.stdout.writelines(produce())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone, which ends the output but is no error; what
+        # is still buffered goes to devnull, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 
@@ -295,6 +305,17 @@ def _cmd_count(args) -> int:
                  json=lambda: {"count": count})
 
 
+def _schedules(length: int, width: int, scale: dict):
+    """The step schedules, streamed.  enumerate_schedules' length guard and
+    then the guard on their count (SCHEDULE_COUNT_LIMIT unless scale lifts
+    both) fire here, before any output."""
+    stream = numeral_paths.enumerate_schedules(length, width, **scale)
+    first = next(stream)
+    check_limit(numeral_paths.count_schedules(length, width),
+                scale.get("limit", SCHEDULE_COUNT_LIMIT), "schedule count")
+    return chain([first], stream)
+
+
 def _cmd_gamma(args) -> int:
     params = {"L": args.L, "t": args.t}
     count = numeral_paths.count_schedules(args.L, args.t)
@@ -302,11 +323,8 @@ def _cmd_gamma(args) -> int:
         return _emit(args, params, text=lambda: [f"{count}\n"],
                      csv=lambda: ["length,width,count\n", f"{args.L},{args.t},{count}\n"],
                      json=lambda: {"count": count})
-    scale = _unsafe_scale(args, "enumeration")
-    stream = numeral_paths.enumerate_schedules(args.L, args.t, **scale)
-    first = next(stream)  # the length guard fires here, before any output
-    check_limit(count, scale.get("limit", SCHEDULE_COUNT_LIMIT), "schedule count")
-    schedules = (s.values for s in chain([first], stream))
+    schedules = (s.values for s in _schedules(args.L, args.t,
+                                              _unsafe_scale(args, "enumeration")))
     return _emit(args, params,
                  text=lambda: (json.dumps(list(s)) + "\n" for s in schedules),
                  csv=lambda: chain(["schedule\n"],
@@ -320,7 +338,7 @@ def _cmd_inject(args) -> int:
         print(f"inject: k={args.k} is below 2*t={2 * args.t}", file=sys.stderr)
         return 2
     if args.all_seqs:
-        schedules = numeral_paths.enumerate_schedules(length, args.t)
+        schedules = _schedules(length, args.t, {})
     else:
         schedules = [numeral_paths.StepSchedule((0,) * length, args.t)]
     # schedule_to_path rejects bad input on the first path, before any output

@@ -559,7 +559,7 @@ def _suite_injection(params, jobs):
     cases = []
     for base, width, k in params["triples"]:
         graph = numeral_paths.numeral_graph(base, width)
-        edges = graph.graph.edges
+        chords, n = graph.mop.chords, graph.n  # edges: the chords and the sides
         schedules = list(numeral_paths.enumerate_schedules(k - 2 * width, width))
         expected_per_pair = numeral_paths.count_schedules(k - 2 * width, width)
         pairs = numeral_paths.admissible_pairs(base, width, k)
@@ -573,7 +573,9 @@ def _suite_injection(params, jobs):
                     and path[0] == a
                     and path[-1] == b
                     and len(set(path)) == len(path)
-                    and all(((x, y) if x < y else (y, x)) in edges
+                    and all(0 <= v < n for v in path)
+                    and all(abs(x - y) in (1, n - 1)
+                            or ((x, y) if x < y else (y, x)) in chords
                             for x, y in zip(path, path[1:]))
                 )
                 if not ok:

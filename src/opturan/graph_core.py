@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
+from itertools import chain, islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -99,20 +100,16 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            norm.add((u, v) if u < v else (v, u))
         self.n = n
-        self.edges = frozenset(norm)
+        self.edges = frozenset(_checked_edges(n, edges))
         adj = [[] for _ in range(n)]
-        for u, v in norm:
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        for v, a in enumerate(adj):  # each list is freed as its tuple is made
+            a.sort()
+            adj[v] = tuple(a)
+        self._adj = tuple(adj)
         self._noncrossing = False
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -168,6 +165,23 @@ class Tree(Graph):
                     stack.append(w)
         if len(seen) != n:
             raise ValueError("edge set is not connected")
+
+
+def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The edges as (u, v), u < v, each checked in turn; a tuple already in
+    that form is yielded itself, so a graph shares its caller's tuples."""
+    for pair in edges:
+        u, v = pair
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+        if u > v:
+            yield v, u
+        elif type(pair) is tuple:
+            yield pair
+        else:
+            yield u, v
 
 
 def _normalize_chord(n: int, pair) -> tuple[int, int]:
@@ -236,14 +250,21 @@ class Mop:
     def __post_init__(self):
         if self.n < 3:
             raise MopError(f"polygon needs at least 3 vertices, got {self.n}")
-        seen = set()
-        for pair in self.chords:
-            c = _normalize_chord(self.n, pair)
-            if c in seen:
-                raise DuplicateChord(f"chord {c} given twice")
-            seen.add(c)
-        chords = frozenset(seen)
-        del seen  # one chord set alive during the sort below
+        chords = self.chords
+        if type(chords) in (set, frozenset) and all(
+                _normalize_chord(self.n, pair) is pair for pair in chords):
+            # distinct normal tuples already: no chord can be given twice
+            if type(chords) is set:
+                chords = frozenset(chords)
+        else:
+            seen = set()
+            for pair in chords:
+                c = _normalize_chord(self.n, pair)
+                if c in seen:
+                    raise DuplicateChord(f"chord {c} given twice")
+                seen.add(c)
+            chords = frozenset(seen)
+            del seen  # one chord set alive during the sort below
         object.__setattr__(self, "chords", chords)
         crossing = _first_crossing(chords)
         if crossing:
@@ -291,9 +312,8 @@ def _mop_graph(n: int, chords: frozenset) -> Graph:
     only keeps the graphs and faces of hosts no one asks for again alive
     (4096 of them held 22 MB after reading every host at n = 11).
     """
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges.extend(chords)
-    g = Graph(n, edges)
+    label = list(range(n))  # one int object per vertex for the sides
+    g = Graph(n, chain(zip(label, islice(label, 1, None)), [(0, n - 1)], chords))
     g._noncrossing = True  # Mop.__post_init__ proved the chords do not cross
     return g
 

@@ -99,6 +99,25 @@ class NumeralGraph:
         return _adjacent_by_rule(x, y, self.base, self.width)
 
 
+def _rule_chords(base: int, width: int, n: int) -> Iterator[tuple[int, int]]:
+    """The digit-rule chords (a, b), a < b, repeats included, built from
+    one int object per label."""
+    label = list(range(n))
+    step = base  # the step=1 chain is the polygon boundary itself
+    for _ in range(1, width):
+        for r in range(0, n, step):
+            a, b = r, (r + step) % n
+            if a > b:
+                a, b = b, a
+            if 2 <= b - a <= n - 2:
+                yield label[a], label[b]
+        step *= base
+    for x in range(1, n):
+        a = _zero_last_nonzero(x, base)
+        if 2 <= x - a <= n - 2:
+            yield label[a], label[x]
+
+
 def numeral_graph(base: int, width: int,
                   limit: int | None = NUMERAL_VERTEX_LIMIT) -> NumeralGraph:
     """Build the digit-rule triangulation.
@@ -115,22 +134,9 @@ def numeral_graph(base: int, width: int,
     check_limit(n, limit, "vertex count base**width")
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got base**width={n}")
-    chords = set()
-    step = base  # the step=1 chain is the polygon boundary itself
-    for _ in range(1, width):
-        for r in range(0, n, step):
-            a, b = r, (r + step) % n
-            if a > b:
-                a, b = b, a
-            if 2 <= b - a <= n - 2:
-                chords.add((a, b))
-        step *= base
-    for x in range(1, n):
-        a, b = _zero_last_nonzero(x, base), x
-        if 2 <= b - a <= n - 2:
-            chords.add((a, b))
+    chords = frozenset(_rule_chords(base, width, n))
     try:
-        mop = Mop(n, chords)
+        mop = Mop(n, chords)  # keeps this frozenset and its tuples
     except MopError as exc:
         raise RuntimeError(
             f"digit-rule edge set for base={base}, width={width} is not a "

@@ -306,6 +306,33 @@ def test_inject_rejects_bad_endpoints(capture):
     assert code == 2 and "87" in err
 
 
+def test_inject_all_seqs_count_guard(capture, monkeypatch):
+    # the guard is on the number of paths, shown on a lowered one
+    argv = ("inject", "--N", "30", "--t", "3", "--k", "14", "--A", "26999",
+            "--B", "13965", "--all-seqs")
+    monkeypatch.setattr(cli, "SCHEDULE_COUNT_LIMIT", 127)
+    code, out, err = capture(*argv)
+    assert (code, out) == (2, "") and "schedule count=128 exceeds" in err
+    monkeypatch.setattr(cli, "SCHEDULE_COUNT_LIMIT", 128)
+    code, out, _ = capture(*argv)
+    assert code == 0 and len(out.splitlines()) == 128
+    monkeypatch.undo()
+
+    # count_schedules(20, 21) = Catalan(20) paths; should the guard be
+    # missing, building the first path fails the test instead of running it
+    def no_path(*args):
+        raise AssertionError("a path was built past the count guard")
+
+    monkeypatch.setattr(numeral_paths, "schedule_to_path", no_path)
+    argv = ("inject", "--N", "64", "--t", "21", "--k", "62", "--A", str(64**21 - 1),
+            "--B", str(63 * 64**20 - 1), "--all-seqs")
+    for fmt in ("text", "json"):
+        code, out, err = capture(*argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("inject: schedule count=6564120420 exceeds the desk-scale guard "
+                       "1000000; lower the value (inject has no --unsafe-scale)\n")
+
+
 # ---------------------------------------------------------------------------
 # extremal and verify
 # ---------------------------------------------------------------------------
@@ -429,6 +456,27 @@ def test_byte_identical_output_across_processes():
         second = run_cli_subprocess(*argv)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+@pytest.mark.parametrize("argv,lines,code", [
+    # the reader takes one line of a long stream, then closes
+    (("gamma", "-L", "12", "-t", "13", "--enumerate"), 1, 0),
+    (("gamma", "-L", "12", "-t", "13", "--enumerate", "--format", "csv"), 1, 0),
+    # or closes before the first byte; verify still reports its verdict
+    (("gen", "--fan", "8", "--format", "json"), 0, 0),
+    (("verify", "--suite", "triple-fan-beats-fan", "--param", "n=12",
+      "--param", "k=4"), 0, 1),
+])
+def test_closed_stdout_ends_the_run_quietly(argv, lines, code):
+    proc = subprocess.Popen([sys.executable, "-m", "opturan", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    got = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == code
+    assert err == b""
+    assert all(line.endswith(b"\n") for line in got)
 
 
 def test_python_dash_m_runs_the_cli(capsys):

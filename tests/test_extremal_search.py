@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from opturan import extremal_search, graph_core
+from opturan import extremal_search, graph_core, numeral_paths
 from opturan.exactmath import path_count_bounds
 from opturan.extremal_search import (
     NOT_COVERED,
@@ -319,6 +319,45 @@ def test_suite_names_and_errors():
         verify_suite("catalan-identity", max_k=0)
     with pytest.raises(ValueError, match=r"gamma_ks=\(\)"):
         verify_suite("bounds-4k", gamma_ks=())
+
+
+# numeral_graph(10, 2) has one schedule per endpoint pair at k = 8, so a
+# path may stand in for the schedule's own path of the pair (88, 99)
+_BAD_STEPS = {
+    "step 82-0 is no edge": [88, 87, 86, 85, 84, 83, 82, 0, 99],
+    "vertex 100 is off the polygon": [88, 87, 86, 85, 80, 0, 1, 100, 99],
+}
+
+
+def _injection_with_path(monkeypatch, path):
+    real = numeral_paths.schedule_to_path
+    used = []
+
+    def fake(a, b, sched, base, width, k):
+        if (a, b) == (88, 99):
+            used.append(path)
+            return list(path)
+        return real(a, b, sched, base, width, k)
+
+    monkeypatch.setattr(numeral_paths, "schedule_to_path", fake)
+    [case] = verify_suite("injection", triples=((10, 2, 8),)).cases
+    assert used == [path]
+    return case
+
+
+@pytest.mark.parametrize("why", sorted(_BAD_STEPS))
+def test_injection_counts_a_path_off_the_host(monkeypatch, why):
+    case = _injection_with_path(monkeypatch, _BAD_STEPS[why])
+    assert (case.actual, case.passed) == (1, False)
+
+
+def test_injection_accepts_the_closing_side(monkeypatch):
+    path = [88, 87, 86, 85, 84, 83, 80, 0, 99]
+    host = numeral_paths.numeral_graph(10, 2)
+    assert all(host.graph.adjacent(x, y) for x, y in zip(path, path[1:]))
+    assert (0, 99) not in host.mop.chords  # a side, not a chord
+    case = _injection_with_path(monkeypatch, path)
+    assert (case.actual, case.passed) == (0, True)
 
 
 def test_suite_param_override():

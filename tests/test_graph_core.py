@@ -113,6 +113,95 @@ def test_mop_validation_keeps_normal_chord_tuples():
     assert all(type(c) is tuple for c in m.chords)
 
 
+@pytest.mark.parametrize("freeze", [set, frozenset])
+def test_mop_duplicate_chord_in_a_set(freeze):
+    # a set can only repeat a chord reversed, which takes the checking loop
+    with pytest.raises(DuplicateChord) as err:
+        Mop(5, freeze({(0, 2), (2, 0)}))
+    assert str(err.value) == "chord (0, 2) given twice"
+
+
+def test_mop_keeps_a_frozenset_and_freezes_a_set_once():
+    chords = frozenset({(0, 2), (0, 3), (3, 5)})
+    assert Mop(6, chords).chords is chords
+    given = {(0, 2), (0, 3), (3, 5)}
+    m = Mop(6, given)
+    assert type(m.chords) is frozenset and m.chords == given
+    assert {id(c) for c in m.chords} == {id(c) for c in given}
+    # one chord to normalise sends the whole set through the loop
+    m = Mop(6, frozenset({(0, 2), (3, 0), (3, 5)}))
+    assert m.chords == chords and all(type(c) is tuple for c in m.chords)
+    for host in enumerate_mops(7):
+        assert Mop(7, host.chords).chords is host.chords
+    for host in enumerate_mop_orbits(9):
+        assert Mop(9, host.chords).chords is host.chords
+
+
+def test_mop_graph_shares_the_mops_chord_tuples():
+    for m in [*enumerate_mops(7), triple_fan(12), fan(9)]:
+        own = {c: c for c in m.chords}
+        shared = [e for e in m.graph.edges if e in own]
+        assert len(shared) == m.n - 3
+        assert all(e is own[e] for e in shared)
+
+
+class _ReferenceGraph:
+    """Graph.__init__ before it shared its input tuples: every edge
+    normalised into a new tuple in a set, then copied into a frozenset.
+    The oracle for the one-pass build."""
+
+    def __init__(self, n, edges):
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        norm = set()
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+            norm.add((u, v) if u < v else (v, u))
+        self.n = n
+        self.edges = frozenset(norm)
+        adj = [[] for _ in range(n)]
+        for u, v in norm:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(tuple(sorted(a)) for a in adj)
+
+
+def _build(cls, n, pairs, as_generator):
+    try:
+        g = cls(n, (p for p in pairs) if as_generator else list(pairs))
+    except Exception as exc:  # the two must fail alike, whatever the error
+        return type(exc), str(exc)
+    # repr tells a bool or float label from the int it equals
+    return sorted(map(repr, g.edges)), repr(g._adj)
+
+
+_VERTEX = st.one_of(st.integers(0, 6), st.booleans())
+_EDGE = st.one_of(st.tuples(_VERTEX, _VERTEX),
+                  st.lists(_VERTEX, min_size=2, max_size=2)).filter(lambda p: p[0] != p[1])
+_ODD = st.one_of(
+    st.integers(-2, 9).map(lambda v: (v, v)),                   # a loop, maybe off range
+    st.tuples(st.integers(-2, 9), st.integers(-2, 9)),          # maybe off range
+    st.tuples(_VERTEX, st.sampled_from([0.0, 1.0, 2.5])),       # float label
+    st.tuples(_VERTEX), st.tuples(_VERTEX, _VERTEX, _VERTEX),  # wrong length
+    st.integers(0, 5),                                          # no pair at all
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(7), st.integers(0, 7)), st.lists(_EDGE, max_size=10),
+       st.lists(_ODD, max_size=2), st.booleans(), st.data())
+def test_graph_build_matches_reference(n, edges, odd, as_generator, data):
+    # the edges with reversed copies and repeats, and up to two odd pairs,
+    # in a drawn order
+    pairs = edges + [e[::-1] for e in edges] + edges[:2] + odd
+    pairs = data.draw(st.permutations(pairs))
+    assert (_build(Graph, n, pairs, as_generator)
+            == _build(_ReferenceGraph, n, pairs, as_generator))
+
+
 def test_mop_json_round_trip():
     m = triple_fan(9)
     again = Mop.from_json_obj(m.to_json_obj())
