@@ -559,7 +559,7 @@ def _suite_injection(params, jobs):
     cases = []
     for base, width, k in params["triples"]:
         graph = numeral_paths.numeral_graph(base, width)
-        chords, n = graph.mop.chords, graph.n  # edges: the chords and the sides
+        adjacent, n = graph.mop.adjacent, graph.n
         schedules = list(numeral_paths.enumerate_schedules(k - 2 * width, width))
         expected_per_pair = numeral_paths.count_schedules(k - 2 * width, width)
         pairs = numeral_paths.admissible_pairs(base, width, k)
@@ -574,9 +574,7 @@ def _suite_injection(params, jobs):
                     and path[-1] == b
                     and len(set(path)) == len(path)
                     and all(0 <= v < n for v in path)
-                    and all(abs(x - y) in (1, n - 1)
-                            or ((x, y) if x < y else (y, x)) in chords
-                            for x, y in zip(path, path[1:]))
+                    and all(adjacent(x, y) for x, y in zip(path, path[1:]))
                 )
                 if not ok:
                     violations += 1

@@ -251,12 +251,9 @@ class Mop:
         if self.n < 3:
             raise MopError(f"polygon needs at least 3 vertices, got {self.n}")
         chords = self.chords
-        if type(chords) in (set, frozenset) and all(
-                _normalize_chord(self.n, pair) is pair for pair in chords):
-            # distinct normal tuples already: no chord can be given twice
-            if type(chords) is set:
-                chords = frozenset(chords)
-        else:
+        # a frozenset of normal tuples is kept: no chord can be given twice
+        if type(chords) is not frozenset or any(
+                _normalize_chord(self.n, pair) is not pair for pair in chords):
             seen = set()
             for pair in chords:
                 c = _normalize_chord(self.n, pair)
@@ -277,6 +274,12 @@ class Mop:
     @property
     def graph(self) -> Graph:
         return _mop_graph(self.n, self.chords)
+
+    def adjacent(self, u: int, v: int) -> bool:
+        """Whether vertices u and v (each in 0..n-1) span a polygon side or
+        a chord, the edges `_mop_graph` builds, without building them."""
+        return abs(u - v) in (1, self.n - 1) or (
+            (u, v) if u < v else (v, u)) in self.chords
 
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """The n-2 triangular faces, each a sorted vertex triple, in sorted

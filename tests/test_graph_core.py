@@ -121,9 +121,10 @@ def test_mop_duplicate_chord_in_a_set(freeze):
     assert str(err.value) == "chord (0, 2) given twice"
 
 
-def test_mop_keeps_a_frozenset_and_freezes_a_set_once():
+def test_mop_keeps_a_frozenset_of_normal_chords():
     chords = frozenset({(0, 2), (0, 3), (3, 5)})
     assert Mop(6, chords).chords is chords
+    # a set takes the checking loop, which keeps its normal tuples
     given = {(0, 2), (0, 3), (3, 5)}
     m = Mop(6, given)
     assert type(m.chords) is frozenset and m.chords == given
@@ -135,6 +136,15 @@ def test_mop_keeps_a_frozenset_and_freezes_a_set_once():
         assert Mop(7, host.chords).chords is host.chords
     for host in enumerate_mop_orbits(9):
         assert Mop(9, host.chords).chords is host.chords
+
+
+def test_mop_adjacent_matches_its_graph():
+    hosts = [*enumerate_mops(7), triple_fan(12), fan(9), Mop(3)]
+    for m in hosts:
+        g = m.graph
+        for u in range(m.n):
+            for v in range(m.n):
+                assert m.adjacent(u, v) == g.adjacent(u, v), (m, u, v)
 
 
 def test_mop_graph_shares_the_mops_chord_tuples():
