@@ -25,6 +25,7 @@ from .guards import ScaleLimitError, check_limit
 __all__ = ["run", "main", "OUTPUT_SCHEMA"]
 
 SCHEDULE_COUNT_LIMIT = 10**6  # schedules `gamma --enumerate` or `inject --all-seqs` may list
+GAMMA_DP_LIMIT = 400_000  # L*t for `gamma`'s count, whose slowest admitted pair takes ~1 s
 
 
 OUTPUT_SCHEMA = {
@@ -184,7 +185,7 @@ def _emit(args, params: dict, **formats) -> int:
 
 
 def _rational_text(value: Fraction) -> str:
-    """Exact text: integer, terminating decimal, or num/den."""
+    """Exact text: integer, decimal if dyadic (as every c(k) is), or num/den."""
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
@@ -192,10 +193,6 @@ def _rational_text(value: Fraction) -> str:
     while den % 2 == 0:
         den //= 2
         num *= 5
-        places += 1
-    while den % 5 == 0:
-        den //= 5
-        num *= 2
         places += 1
     if den != 1:
         return f"{value.numerator}/{value.denominator}"
@@ -318,13 +315,15 @@ def _schedules(length: int, width: int, scale: dict):
 
 def _cmd_gamma(args) -> int:
     params = {"L": args.L, "t": args.t}
+    if args.L >= 0 and args.t >= 2:  # else count_schedules names the bad value
+        scale = _unsafe_scale(args, "enumeration" if args.enumerate else "count")
+        check_limit(args.L * args.t, scale.get("limit", GAMMA_DP_LIMIT), "schedule DP size L*t")
     count = numeral_paths.count_schedules(args.L, args.t)
     if not args.enumerate:
         return _emit(args, params, text=lambda: [f"{count}\n"],
                      csv=lambda: ["length,width,count\n", f"{args.L},{args.t},{count}\n"],
                      json=lambda: {"count": count})
-    schedules = (s.values for s in _schedules(args.L, args.t,
-                                              _unsafe_scale(args, "enumeration")))
+    schedules = (s.values for s in _schedules(args.L, args.t, scale))
     return _emit(args, params,
                  text=lambda: (json.dumps(list(s)) + "\n" for s in schedules),
                  csv=lambda: chain(["schedule\n"],

@@ -445,8 +445,8 @@ def _suite_greedy_optimality(params, jobs):
         patterns = [Pattern.cycle(k) for k in range(3, n + 1)]
         # only the maxima are compared, so the maximizers stay labeled
         results = brute_force_many(n, patterns, dedup=False, jobs=jobs)
-        trees = list(enumerate_bounded_trees(n - 2, 3)) if n >= 3 else []
-        greedy = greedy_tree(3, n - 2) if n - 2 >= 1 else None
+        trees = list(enumerate_bounded_trees(n - 2, 3))
+        greedy = greedy_tree(3, n - 2)
         for k, res in zip(range(3, n + 1), results):
             tree_max = max(count_subtrees(t, k - 2) for t in trees)
             greedy_val = count_subtrees(greedy, k - 2)

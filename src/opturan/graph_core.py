@@ -335,33 +335,29 @@ def _mop_triangles(n: int, chords: frozenset) -> tuple[tuple[int, int, int], ...
 # Triangulation enumeration
 # ---------------------------------------------------------------------------
 
-def _triangulation_chords(vs: tuple[int, ...],
-                          apexes: tuple[int, ...] | None = None) -> Iterator[frozenset]:
-    """All triangulations of the convex polygon on the (cyclically ordered)
-    vertex labels vs, as chord sets.  Recursion on the edge (vs[0], vs[-1]):
-    pick the apex of its triangle, then triangulate both sides.  apexes,
-    if given, restricts the top-level pick to those positions of vs.
+def _triangulation_chords(lo: int, hi: int,
+                          apexes: tuple[int, ...] | None = None) -> Iterator[tuple]:
+    """All triangulations of the convex polygon on the labels lo..hi, as
+    tuples of chords (a, b), a < b.  Recursion on the edge (lo, hi): pick
+    its triangle's apex m, then triangulate the label runs lo..m and m..hi.
+    apexes, if given, restricts the top-level pick to those labels.
     """
-    if len(vs) < 3:
-        yield frozenset()
+    if hi - lo < 2:
+        yield ()
         return
-    a, b = vs[0], vs[-1]
-    for i in range(1, len(vs) - 1) if apexes is None else apexes:
-        m = vs[i]
-        extra = []
-        if i >= 2:
-            extra.append((min(a, m), max(a, m)))
-        if len(vs) - 1 - i >= 2:
-            extra.append((min(m, b), max(m, b)))
-        for left in _triangulation_chords(vs[: i + 1]):
-            for right in _triangulation_chords(vs[i:]):
-                yield left | right | frozenset(extra)
+    for m in range(lo + 1, hi) if apexes is None else apexes:
+        own = ((lo, m),) if m - lo >= 2 else ()
+        if hi - m >= 2:
+            own += ((m, hi),)
+        for left in _triangulation_chords(lo, m):
+            for right in _triangulation_chords(m, hi):
+                yield left + right + own
 
 
 def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
                    first_apex: int | None = None) -> Iterator[Mop]:
     """Every labeled triangulation of the convex n-gon, exactly once
-    (catalan(n-2) of them).
+    (catalan(n-2) of them), each on one chord frozenset that `Mop` keeps.
 
     first_apex restricts the stream to triangulations whose triangle on the
     polygon edge (0, n-1) has the given apex; the full stream is the
@@ -378,8 +374,8 @@ def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
     if first_apex is not None and not (1 <= first_apex <= n - 2):
         raise ValueError(f"first_apex must be in 1..{n - 2}, got {first_apex}")
     apexes = None if first_apex is None else (first_apex,)
-    for chords in _triangulation_chords(tuple(range(n)), apexes):
-        yield Mop(n, chords)
+    for chords in _triangulation_chords(0, n - 1, apexes):
+        yield Mop(n, frozenset(chords))
 
 
 def enumerate_mop_orbits(n: int) -> Iterator[Mop]:

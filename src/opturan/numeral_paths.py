@@ -159,61 +159,44 @@ class StepSchedule:
     loop and stored as it is.  Any other input (a list, a bool, float or
     str element, a width that is not an int >= 2, or a schedule that
     breaks a rule) takes the general path: each value is coerced with
-    int(), then the width and the rules are checked in that order, so
-    coercion, error order and messages are the same for every input."""
+    int(), the width is checked, and one walk raises at the first rule
+    broken (start, range, rise), with the same messages for every input."""
 
     values: tuple[int, ...]
     width: int
 
     def __init__(self, values: Sequence[int], width: int):
-        if type(values) is tuple and type(width) is int and width >= 2:
+        exact = type(values) is tuple and type(width) is int and width >= 2
+        if exact:
             cap = width - 2
             prev = -1  # so the first value must be 0
             for v in values:
                 if type(v) is not int or v < 0 or v > cap or v > prev + 1:
+                    exact = False
                     break
                 prev = v
-            else:
-                # frozen: fill the instance dict itself, which is what
-                # object.__setattr__ does, without its lookup and call
-                fields = self.__dict__
-                fields["values"] = values
-                fields["width"] = width
-                return
-        vs = tuple(map(int, values))
-        object.__setattr__(self, "values", vs)
-        object.__setattr__(self, "width", width)
-        if width < 2:
-            raise ValueError(f"width must be >= 2, got {width}")
-        if vs:
+        if not exact:
+            values = tuple(map(int, values))
+            if width < 2:
+                raise ValueError(f"width must be >= 2, got {width}")
+            if values and values[0] != 0:
+                raise ValueError(f"schedule must start at 0, got {values[0]}")
             cap = width - 2
-            if vs[0] != 0:
-                _reject_schedule(vs, cap)
-            # range and rise in one pass; _reject_schedule words the message
             prev = 0
-            for v in vs:
-                if v < 0 or v > cap or v > prev + 1:
-                    _reject_schedule(vs, cap)
+            for i, v in enumerate(values):
+                if v < 0 or v > cap:
+                    raise ValueError(f"schedule value {v} at position {i} outside 0..{cap}")
+                if v > prev + 1:
+                    raise ValueError(f"schedule rises from {prev} to {v} at position {i}")
                 prev = v
+        # frozen: fill the instance dict itself, which is what
+        # object.__setattr__ does, without its lookup and call
+        fields = self.__dict__
+        fields["values"] = values
+        fields["width"] = width
 
     def __len__(self):
         return len(self.values)
-
-
-def _reject_schedule(vs: tuple[int, ...], cap: int):
-    """Raise the ValueError naming the first position where the non-empty
-    schedule vs breaks a rule."""
-    if vs[0] != 0:
-        raise ValueError(f"schedule must start at 0, got {vs[0]}")
-    prev = vs[0]
-    for i, v in enumerate(vs):
-        if v < 0 or v > cap:
-            raise ValueError(f"schedule value {v} at position {i} outside 0..{cap}")
-        if i and v > prev + 1:
-            raise ValueError(f"schedule rises from {prev} to {v} at position {i}")
-        prev = v
-    raise RuntimeError(f"schedule {vs} was rejected but breaks no rule; "
-                       "this is a bug")
 
 
 def count_schedules(length: int, width: int) -> int:
@@ -224,8 +207,6 @@ def count_schedules(length: int, width: int) -> int:
         raise ValueError(f"length must be >= 0, got {length}")
     if width < 2:
         raise ValueError(f"width must be >= 2, got {width}")
-    if length == 0:
-        return 1
     cap = width - 2
     ways = [0] * (cap + 1)
     ways[0] = 1
@@ -246,9 +227,6 @@ def enumerate_schedules(length: int, width: int,
     if width < 2:
         raise ValueError(f"width must be >= 2, got {width}")
     check_limit(length, limit, "schedule length")
-    if length == 0:
-        yield StepSchedule((), width)
-        return
     cap = width - 2
     values = [0] * length
     while True:
@@ -257,7 +235,7 @@ def enumerate_schedules(length: int, width: int,
         # value (the cap, or one above their left neighbour) wrap to 0, and
         # the first one that can still rise goes up by one
         i = length - 1
-        while i:
+        while i > 0:
             v = values[i]
             if v < cap and v <= values[i - 1]:
                 values[i] = v + 1

@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, formats, schema, determinism."""
 
+import hashlib
 import io
 import json
 import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -69,6 +71,24 @@ def test_c_table_csv(capture):
     assert out.splitlines() == [
         "k,numerator,denominator", "3,1,1", "4,1,1", "5,3,2",
     ]
+
+
+@pytest.mark.parametrize("value,text", [
+    (Fraction(3, 2), "1.5"), (Fraction(95, 4), "23.75"), (Fraction(-3, 8), "-0.375"),
+    (Fraction(5), "5"), (Fraction(1, 10), "1/10"), (Fraction(-1, 3), "-1/3"),
+])
+def test_rational_text(value, text):
+    # a decimal only for a dyadic value; any other den prints as num/den
+    assert cli._rational_text(value) == text
+
+
+def test_c_table_text_to_202_is_unchanged(capture):
+    # every c(k), k <= 202, is dyadic; sha256 of the table before
+    # _rational_text stopped writing decimals for dens with a factor 5
+    code, out, _ = capture("c-table", "--max-k", "202")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b3bd728cf33603787a4b69986d070efdacd2e64b2fca95eacd9b26f4ce90ce58")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +280,35 @@ def test_gamma_enumerate_count_guard(capture, monkeypatch):
     code, out, err = capture("gamma", "-L", "4", "-t", "5", "--enumerate", "--unsafe-scale")
     assert code == 0 and len(out.splitlines()) == 14
     assert err == "warning: --unsafe-scale lifts the enumeration guard\n"
+
+
+def test_gamma_dp_guard(capture, monkeypatch):
+    # a bad width is named before any size (count_schedules refuses it at once)
+    code, out, err = capture("gamma", "-L", "100000000", "-t", "1")
+    assert (code, out, err) == (2, "", "gamma: width must be >= 2, got 1\n")
+    # the DP would run 10**8 - 1 rounds; should the guard be missing, the
+    # count fails the test instead of running it
+    real_count, limit = numeral_paths.count_schedules, cli.GAMMA_DP_LIMIT
+
+    def no_count(length, width):
+        if length * width > limit:
+            raise AssertionError("the schedule DP ran past the guard")
+        return real_count(length, width)
+
+    monkeypatch.setattr(numeral_paths, "count_schedules", no_count)
+    for extra in ((), ("--enumerate",)):
+        for fmt in ("text", "csv", "json"):
+            code, out, err = capture("gamma", "-L", "100000000", "-t", "3", *extra,
+                                     "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == ("gamma: schedule DP size L*t=300000000 exceeds the desk-scale "
+                           "guard 400000; pass limit=None (CLI: --unsafe-scale) to override\n")
+    # --unsafe-scale lifts the guard, shown on a lowered one
+    monkeypatch.setattr(cli, "GAMMA_DP_LIMIT", 11)
+    code, out, err = capture("gamma", "-L", "4", "-t", "3")
+    assert (code, out) == (2, "") and "schedule DP size L*t=12 exceeds" in err
+    code, out, err = capture("gamma", "-L", "4", "-t", "3", "--unsafe-scale")
+    assert (code, out, err) == (0, "8\n", "warning: --unsafe-scale lifts the count guard\n")
 
 
 # run() on argv in a fresh interpreter, stdout discarded; stderr ends with

@@ -1,10 +1,13 @@
 """Brute-force maxima, closed forms, and the verification suites."""
 
+import json
 from math import comb
 
+import jsonschema
 import pytest
 
 from opturan import extremal_search, graph_core, numeral_paths
+from opturan.cli import OUTPUT_SCHEMA
 from opturan.exactmath import path_count_bounds
 from opturan.extremal_search import (
     NOT_COVERED,
@@ -381,6 +384,25 @@ def test_suite_json_shape():
     case = obj["cases"][2]
     assert case["case"] == "cycle-density-k5"
     assert case["expected"] == {"num": "3", "den": "2"}
+
+
+@pytest.mark.parametrize("name,overrides,key,nested", [
+    ("injection", {"triples": ((10, 2, 8),)}, "triples", [[10, 2, 8]]),
+    ("bounds-4k", {"max_k_f": 8, "max_n_paths": 4, "max_k_density": 6,
+                   "gamma_ks": (16, 25)}, "gamma_ks", [16, 25]),
+])
+def test_suite_json_with_tuple_params(name, overrides, key, nested):
+    report = verify_suite(name, **overrides)
+    assert report.passed
+    obj = report.to_json_obj()
+    assert obj["params"][key] == nested
+    envelope = {"command": "verify", "params": {"suite": name}, "result": obj}
+    jsonschema.validate(json.loads(json.dumps(envelope)), OUTPUT_SCHEMA)
+    # the text table has one row per case between its rule and "overall:"
+    lines = report.to_text().splitlines()
+    rule = next(i for i, line in enumerate(lines) if set(line) <= {"-", " "})
+    assert lines[-1] == "overall: pass"
+    assert len(obj["cases"]) == len(report.cases) == len(lines) - rule - 2
 
 
 def test_p3_suite_passes_away_from_six():

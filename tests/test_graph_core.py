@@ -238,6 +238,35 @@ def test_enumerate_mops_no_duplicates_and_shape():
         assert len(seen) == catalan(n - 2)
 
 
+def _reference_triangulation_chords(vs, apexes=None):
+    """The triangulation stream before it recursed on label bounds: slices
+    of the label tuple, min/max on each chord and one frozenset per level.
+    The reference for the order and chord sets of enumerate_mops."""
+    if len(vs) < 3:
+        yield frozenset()
+        return
+    a, b = vs[0], vs[-1]
+    for i in range(1, len(vs) - 1) if apexes is None else apexes:
+        m = vs[i]
+        extra = []
+        if i >= 2:
+            extra.append((min(a, m), max(a, m)))
+        if len(vs) - 1 - i >= 2:
+            extra.append((min(m, b), max(m, b)))
+        for left in _reference_triangulation_chords(vs[: i + 1]):
+            for right in _reference_triangulation_chords(vs[i:]):
+                yield left | right | frozenset(extra)
+
+
+def test_enumerate_mops_matches_reference_stream_in_order():
+    for n in range(3, 12):
+        want = list(_reference_triangulation_chords(tuple(range(n))))
+        assert [m.chords for m in enumerate_mops(n)] == want
+    for apex in range(1, 7):
+        want = list(_reference_triangulation_chords(tuple(range(8)), (apex,)))
+        assert [m.chords for m in enumerate_mops(8, first_apex=apex)] == want
+
+
 def test_enumerate_mops_guard():
     with pytest.raises(ScaleLimitError):
         next(enumerate_mops(17))

@@ -172,19 +172,8 @@ class _CoercingStepSchedule:
     width: int
 
     def __post_init__(self):
-        vs = tuple(map(int, self.values))
-        object.__setattr__(self, "values", vs)
-        if self.width < 2:
-            raise ValueError(f"width must be >= 2, got {self.width}")
-        if vs:
-            cap = self.width - 2
-            if vs[0] != 0:
-                numeral_paths._reject_schedule(vs, cap)
-            prev = 0
-            for v in vs:
-                if v < 0 or v > cap or v > prev + 1:
-                    numeral_paths._reject_schedule(vs, cap)
-                prev = v
+        object.__setattr__(self, "values",
+                           _reference_schedule_check(self.values, self.width))
 
 
 _CoercingStepSchedule.__qualname__ = "StepSchedule"  # so the reprs compare
@@ -283,6 +272,15 @@ def test_enumerate_schedules_examples():
     listed = [s.values for s in enumerate_schedules(3, 4)]
     assert listed == sorted(listed)
     assert (0, 1, 2) in listed
+
+
+def test_length_zero_has_the_one_empty_schedule():
+    for width in range(2, 7):
+        assert list(enumerate_schedules(0, width)) == [StepSchedule((), width)]
+        assert count_schedules(0, width) == 1
+    for call in (lambda: list(enumerate_schedules(0, 1)), lambda: count_schedules(0, 1)):
+        with pytest.raises(ValueError, match="^width must be >= 2, got 1$"):
+            call()
 
 
 def test_count_matches_enumeration():
