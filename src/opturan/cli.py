@@ -315,6 +315,7 @@ def _schedules(length: int, width: int, scale: dict):
 
 def _cmd_gamma(args) -> int:
     params = {"L": args.L, "t": args.t}
+    scale = {}
     if args.L >= 0 and args.t >= 2:  # else count_schedules names the bad value
         scale = _unsafe_scale(args, "enumeration" if args.enumerate else "count")
         check_limit(args.L * args.t, scale.get("limit", GAMMA_DP_LIMIT), "schedule DP size L*t")

@@ -166,31 +166,33 @@ class StepSchedule:
     width: int
 
     def __init__(self, values: Sequence[int], width: int):
-        exact = type(values) is tuple and type(width) is int and width >= 2
-        if exact:
+        if type(values) is tuple and type(width) is int and width >= 2:
             cap = width - 2
             prev = -1  # so the first value must be 0
             for v in values:
                 if type(v) is not int or v < 0 or v > cap or v > prev + 1:
-                    exact = False
                     break
                 prev = v
-        if not exact:
-            values = tuple(map(int, values))
-            if width < 2:
-                raise ValueError(f"width must be >= 2, got {width}")
-            if values and values[0] != 0:
-                raise ValueError(f"schedule must start at 0, got {values[0]}")
-            cap = width - 2
-            prev = 0
-            for i, v in enumerate(values):
-                if v < 0 or v > cap:
-                    raise ValueError(f"schedule value {v} at position {i} outside 0..{cap}")
-                if v > prev + 1:
-                    raise ValueError(f"schedule rises from {prev} to {v} at position {i}")
-                prev = v
-        # frozen: fill the instance dict itself, which is what
-        # object.__setattr__ does, without its lookup and call
+            else:
+                # frozen: fill the instance dict itself, which is what
+                # object.__setattr__ does, without its lookup and call
+                fields = self.__dict__
+                fields["values"] = values
+                fields["width"] = width
+                return
+        values = tuple(map(int, values))
+        if width < 2:
+            raise ValueError(f"width must be >= 2, got {width}")
+        if values and values[0] != 0:
+            raise ValueError(f"schedule must start at 0, got {values[0]}")
+        cap = width - 2
+        prev = 0
+        for i, v in enumerate(values):
+            if v < 0 or v > cap:
+                raise ValueError(f"schedule value {v} at position {i} outside 0..{cap}")
+            if v > prev + 1:
+                raise ValueError(f"schedule rises from {prev} to {v} at position {i}")
+            prev = v
         fields = self.__dict__
         fields["values"] = values
         fields["width"] = width
@@ -207,6 +209,8 @@ def count_schedules(length: int, width: int) -> int:
         raise ValueError(f"length must be >= 0, got {length}")
     if width < 2:
         raise ValueError(f"width must be >= 2, got {width}")
+    if length == 0:
+        return 1  # at once: an L*t guard admits any width here, so no O(width) table
     cap = width - 2
     ways = [0] * (cap + 1)
     ways[0] = 1

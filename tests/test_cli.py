@@ -303,6 +303,12 @@ def test_gamma_dp_guard(capture, monkeypatch):
             assert (code, out) == (2, "")
             assert err == ("gamma: schedule DP size L*t=300000000 exceeds the desk-scale "
                            "guard 400000; pass limit=None (CLI: --unsafe-scale) to override\n")
+    # L*t is 0 at L = 0, so any width passes the guard; the one empty
+    # schedule is counted and listed without a table as wide as the width
+    code, out, err = capture("gamma", "-L", "0", "-t", "1000000000000")
+    assert (code, out, err) == (0, "1\n", "")
+    code, out, err = capture("gamma", "-L", "0", "-t", "1000000000000", "--enumerate")
+    assert (code, out, err) == (0, "[]\n", "")
     # --unsafe-scale lifts the guard, shown on a lowered one
     monkeypatch.setattr(cli, "GAMMA_DP_LIMIT", 11)
     code, out, err = capture("gamma", "-L", "4", "-t", "3")

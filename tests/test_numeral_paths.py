@@ -278,6 +278,8 @@ def test_length_zero_has_the_one_empty_schedule():
     for width in range(2, 7):
         assert list(enumerate_schedules(0, width)) == [StepSchedule((), width)]
         assert count_schedules(0, width) == 1
+    # at once, with no table as wide as the width
+    assert count_schedules(0, 10**12) == 1
     for call in (lambda: list(enumerate_schedules(0, 1)), lambda: count_schedules(0, 1)):
         with pytest.raises(ValueError, match="^width must be >= 2, got 1$"):
             call()
