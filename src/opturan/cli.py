@@ -166,8 +166,13 @@ def _emit(args, params: dict, **formats) -> int:
     formats maps each format offered to a thunk; only args.format's runs.
     json's returns the result for the one-line envelope; every other's
     yields newline-terminated text, each piece written as it is produced.
-    A reader that closes stdout early stops the output quietly."""
+    A reader that closes stdout early stops the output quietly.  Exact
+    ints print in full, however many digits they have: Python's limit on
+    int-to-text conversion is lifted while this writes."""
     produce = formats[args.format]
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_digits(0)
     try:
         if args.format == "json":
             envelope = {"command": args.command, "params": params, "result": produce()}
@@ -181,6 +186,8 @@ def _emit(args, params: dict, **formats) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    finally:
+        set_digits(digits)
     return 0
 
 

@@ -370,7 +370,7 @@ def _suite_c_table(params, jobs):
 
 def _suite_catalan_identity(params, jobs):
     cases = []
-    for k in range(1, params["max_k"] + 1):
+    for k in params["max_k"]:
         expected = catalan(k + 1) - catalan(k)
         actual = fixed_vertex_subtree_count(k)
         cases.append(CaseResult(f"fixed-vertex-subtrees-k{k}", expected, actual,
@@ -379,9 +379,9 @@ def _suite_catalan_identity(params, jobs):
 
 
 def _suite_cycle_closed_forms(params, jobs):
-    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "brute-force host size n")
+    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
-    for n in range(3, params["max_n"] + 1):
+    for n in params["max_n"]:
         ks = [k for k in (3, 4, 5, 6) if n >= k]
         patterns = [Pattern.cycle(k) for k in ks]
         results = brute_force_many(n, patterns, dedup=True, jobs=jobs)
@@ -420,9 +420,9 @@ def _suite_cycle_closed_forms(params, jobs):
 
 
 def _suite_cycle_bijection(params, jobs):
-    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "polygon size n")
+    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "polygon size n")
     cases = []
-    for n in range(3, params["max_n"] + 1):
+    for n in params["max_n"]:
         mismatches = 0
         total = 0
         for mop in enumerate_mops(n):
@@ -439,9 +439,9 @@ def _suite_cycle_bijection(params, jobs):
 
 
 def _suite_greedy_optimality(params, jobs):
-    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "brute-force host size n")
+    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
-    for n in range(3, params["max_n"] + 1):
+    for n in params["max_n"]:
         patterns = [Pattern.cycle(k) for k in range(3, n + 1)]
         # only the maxima are compared, so the maximizers stay labeled
         results = brute_force_many(n, patterns, dedup=False, jobs=jobs)
@@ -458,9 +458,9 @@ def _suite_greedy_optimality(params, jobs):
 
 
 def _suite_p3_exact(params, jobs):
-    check_limit(params["max_n"], BRUTE_FORCE_LIMIT, "brute-force host size n")
+    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
-    for n in range(4, params["max_n"] + 1):
+    for n in params["max_n"]:
         res = brute_force_maximum(n, Pattern.path(2), dedup=True, jobs=jobs)
         expected = (n * n + 3 * n - 12) // 2
         cases.append(CaseResult(f"n{n}-value", expected, res.maximum,
@@ -481,7 +481,7 @@ def _suite_p3_exact(params, jobs):
 
 def _suite_fan_formula(params, jobs):
     cases = []
-    for n in range(4, params["max_n"] + 1):
+    for n in params["max_n"]:
         g = fan(n).graph
         hist = path_histogram(g, max_edges=n - 1)
         for k in range(3, n):
@@ -519,17 +519,14 @@ def _suite_triple_fan_beats_fan(params, jobs):
 
 
 def _suite_gamma(params, jobs):
-    widths = _checked_range("gamma", "max_t", 2, params)
-    lengths = _checked_range("gamma", "max_l", 0, params)
-    product_lengths = _checked_range("gamma", "max_l_products", 1, params)
     cases = []
-    for t in widths:
-        for length in lengths:
+    for t in params["max_t"]:
+        for length in params["max_l"]:
             expected = numeral_paths.count_schedules(length, t)
             actual = sum(1 for _ in numeral_paths.enumerate_schedules(length, t))
             cases.append(CaseResult(f"count-vs-enumeration-L{length}-t{t}",
                                     expected, actual, expected == actual))
-    for length in product_lengths:
+    for length in params["max_l_products"]:
         buckets: dict[tuple, int] = {}
         top = 0
         for sched in numeral_paths.enumerate_schedules(length, length + 1):
@@ -544,7 +541,7 @@ def _suite_gamma(params, jobs):
         cases.append(CaseResult(f"multiplicity-products-L{length}", 0, mismatches,
                                 mismatches == 0,
                                 detail=f"{len(buckets)} multiplicity vectors"))
-    for length in lengths:
+    for length in params["max_l"]:
         expected = catalan(length)
         width = max(length + 1, 2)  # smallest width whose cap is inactive
         actual = numeral_paths.count_schedules(length, width)
@@ -588,28 +585,13 @@ def _suite_injection(params, jobs):
     return cases
 
 
-def _checked_range(suite: str, key: str, lo: int, params: dict) -> range:
-    """lo..params[key] for a case that checks a whole range.  An empty range
-    would let the case pass having checked nothing, so it is a usage error."""
-    hi = params[key]
-    if hi < lo:
-        raise ValueError(f"suite {suite!r} checks nothing with {key}={hi}: "
-                         f"the range {lo}..{hi} is empty")
-    return range(lo, hi + 1)
-
-
 def _suite_bounds_4k(params, jobs):
-    density_ks = _checked_range("bounds-4k", "max_k_density", 1, params)
-    path_ns = _checked_range("bounds-4k", "max_n_paths", 3, params)
-    if not params["gamma_ks"]:
-        raise ValueError(f"suite 'bounds-4k' checks nothing with gamma_ks="
-                         f"{params['gamma_ks']!r}: the schedule-count family is empty")
+    ks, path_ns, density_ks = params["max_k_f"], params["max_n_paths"], params["max_k_density"]
     cases = []
-    bounds = exactmath.path_count_bounds(params["max_k_f"])
-    bad = [k for k in range(params["max_k_f"] + 1)
-           if bounds.any_pair(k) > 4**k]
+    bounds = exactmath.path_count_bounds(max(ks[-1], path_ns[-1] - 1))  # read by both cases
+    bad = [k for k in ks if bounds.any_pair(k) > 4**k]
     cases.append(CaseResult("path-bound-below-4^k", 0, len(bad), not bad,
-                            detail=f"k = 0..{params['max_k_f']}"))
+                            detail=f"k = {ks.start}..{ks[-1]}"))
     for n in path_ns:
         bad_ks = [k for k in range(1, n)
                   if max_fixed_endpoint_paths(n, k) > bounds.any_pair(k)]
@@ -620,7 +602,7 @@ def _suite_bounds_4k(params, jobs):
                    if exactmath.subtree_density(k) >= 4**k]
     cases.append(CaseResult("subtree-density-below-4^k", 0, len(bad_density),
                             not bad_density,
-                            detail=f"k = 1..{params['max_k_density']}"))
+                            detail=f"k = {density_ks.start}..{density_ks[-1]}"))
     for k in params["gamma_ks"]:
         t = isqrt(k)
         count = numeral_paths.count_schedules(k - 2 * t, t)
@@ -633,14 +615,11 @@ def _suite_bounds_4k(params, jobs):
 
 
 def _suite_limit_bounds(params, jobs):
-    cases = []
-    bad = []
-    for k in _checked_range("limit-bounds", "max_k", 16, params):
-        density = exactmath.subtree_density(k)
-        if not (exactmath.density_lower_exact(k) <= density < Fraction(4)**k):
-            bad.append(k)
-    cases.append(CaseResult("family-bound-brackets-density", 0, len(bad), not bad,
-                            detail=f"k = 16..{params['max_k']}, exact rationals"))
+    ks = params["max_k"]
+    bad = [k for k in ks if not (exactmath.density_lower_exact(k)
+                                 <= exactmath.subtree_density(k) < Fraction(4)**k)]
+    cases = [CaseResult("family-bound-brackets-density", 0, len(bad), not bad,
+                        detail=f"k = {ks.start}..{ks[-1]}, exact rationals")]
     k = params["root_check_k"]
     density = exactmath.subtree_density(k)
     cases.append(CaseResult(f"kth-root-below-4-k{k}", True,
@@ -664,11 +643,10 @@ def _suite_star_blowup(params, jobs):
 
 
 def _suite_constructions(params, jobs):
-    widths = _checked_range("constructions", "max_t", 1, params)
-    fan_bases = _checked_range("constructions", "max_n_base", 3, params)
+    fan_bases = params["max_n_base"]
     cases = []
-    for width in widths:
-        for base in range(2, params["max_n_base"] + 1):
+    for width in params["max_t"]:
+        for base in range(2, fan_bases[-1] + 1):
             if base**width < 3:
                 continue
             graph = numeral_paths.numeral_graph(base, width)
@@ -684,7 +662,7 @@ def _suite_constructions(params, jobs):
                   != fan(base).graph.edges]
     cases.append(CaseResult("width-1-equals-fan", 0, len(mismatched),
                             not mismatched,
-                            detail=f"bases 3..{params['max_n_base']}"))
+                            detail=f"bases {fan_bases.start}..{fan_bases[-1]}"))
     g42 = numeral_paths.numeral_graph(4, 2)
     expected_chords = [(0, 2), (0, 3), (0, 4), (0, 8), (0, 12), (4, 6), (4, 7),
                        (4, 8), (8, 10), (8, 11), (8, 12), (12, 14), (12, 15)]
@@ -696,25 +674,30 @@ def _suite_constructions(params, jobs):
     return cases
 
 
+# Each suite's parameters and defaults.  A parameter that tops a range of
+# cases defaults to that range, the one place its first value is written, and
+# an override names its top; a family of cases is a tuple, all else a scalar.
 _SUITES: dict[str, tuple[Callable, dict]] = {
     "c-table": (_suite_c_table, {}),
-    "catalan-identity": (_suite_catalan_identity, {"max_k": 50}),
-    "cycle-closed-forms": (_suite_cycle_closed_forms, {"max_n": 11}),
-    "cycle-bijection": (_suite_cycle_bijection, {"max_n": 10}),
-    "greedy-optimality": (_suite_greedy_optimality, {"max_n": 10}),
-    "p3-exact": (_suite_p3_exact, {"max_n": 10}),
-    "fan-formula": (_suite_fan_formula, {"max_n": 14}),
+    "catalan-identity": (_suite_catalan_identity, {"max_k": range(1, 51)}),
+    "cycle-closed-forms": (_suite_cycle_closed_forms, {"max_n": range(3, 12)}),
+    "cycle-bijection": (_suite_cycle_bijection, {"max_n": range(3, 11)}),
+    "greedy-optimality": (_suite_greedy_optimality, {"max_n": range(3, 11)}),
+    "p3-exact": (_suite_p3_exact, {"max_n": range(4, 11)}),
+    "fan-formula": (_suite_fan_formula, {"max_n": range(4, 15)}),
     "counterexample-6": (_suite_counterexample_6, {}),
     "triple-fan-beats-fan": (_suite_triple_fan_beats_fan, {"n": 45, "k": 6}),
-    "gamma": (_suite_gamma, {"max_l": 12, "max_t": 6, "max_l_products": 10}),
+    "gamma": (_suite_gamma, {"max_l": range(0, 13), "max_t": range(2, 7),
+                             "max_l_products": range(1, 11)}),
     "injection": (_suite_injection,
                   {"triples": ((10, 2, 8), (12, 2, 10), (30, 3, 14))}),
     "bounds-4k": (_suite_bounds_4k,
-                  {"max_k_f": 30, "max_n_paths": 10, "max_k_density": 60,
-                   "gamma_ks": (16, 25, 36)}),
-    "limit-bounds": (_suite_limit_bounds, {"max_k": 60, "root_check_k": 36}),
+                  {"max_k_f": range(0, 31), "max_n_paths": range(3, 11),
+                   "max_k_density": range(1, 61), "gamma_ks": (16, 25, 36)}),
+    "limit-bounds": (_suite_limit_bounds, {"max_k": range(16, 61), "root_check_k": 36}),
     "star-blowup": (_suite_star_blowup, {}),
-    "constructions": (_suite_constructions, {"max_t": 3, "max_n_base": 12}),
+    "constructions": (_suite_constructions, {"max_t": range(1, 4),
+                                             "max_n_base": range(3, 13)}),
 }
 
 
@@ -724,23 +707,31 @@ def suite_names() -> list[str]:
 
 def verify_suite(name: str, *, jobs: int = 1, **overrides) -> VerificationReport:
     """Run a named suite with its default parameters (overridable) and
-    return the deterministic report.  A suite's guards are fixed, so a
-    ScaleLimitError raised here says to lower the value."""
+    return the deterministic report.  An override of a range parameter
+    names the range's new top, and one that empties a range or a family
+    of cases is refused before the suite runs.  A suite's guards are
+    fixed, so a ScaleLimitError raised here says to lower the value."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
     func, defaults = _SUITES[name]
-    params = dict(defaults)
+    params = {key: d[-1] if isinstance(d, range) else d for key, d in defaults.items()}
+    args = dict(defaults)  # what the suite loops over: ranges where params has their tops
     for key, value in overrides.items():
         if key not in defaults:
             raise ValueError(f"suite {name!r} takes no parameter {key!r}")
         default = defaults[key]
-        kind = (tuple, list) if isinstance(default, tuple) else type(default)
-        if not isinstance(value, kind):
+        want = int if isinstance(default, range) else type(default)
+        if isinstance(value, bool) or not isinstance(value, (tuple, list) if want is tuple else want):
             raise ValueError(f"suite {name!r} parameter {key!r} wants "
-                             f"{type(default).__name__}, got {value!r}")
-        params[key] = value
+                             f"{want.__name__}, got {value!r}")
+        params[key] = args[key] = value
+        if isinstance(default, range):
+            args[key] = range(default.start, value + 1)
+        if not args[key] and isinstance(default, (range, tuple)):
+            what = "the family" if want is tuple else f"the range {default.start}..{value}"
+            raise ValueError(f"suite {name!r} runs no cases with {key}={value!r}: {what} is empty")
     try:
-        cases = func(params, jobs)
+        cases = func(args, jobs)
     except ScaleLimitError as exc:
         exc.hint = "lower the value (verify_suite takes no limit)"
         raise

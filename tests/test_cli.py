@@ -317,6 +317,30 @@ def test_gamma_dp_guard(capture, monkeypatch):
     assert (code, out, err) == (0, "8\n", "warning: --unsafe-scale lifts the count guard\n")
 
 
+def test_gamma_prints_counts_past_the_digit_limit(capture):
+    # count_schedules(14286, 3) = 2**14285 has 4301 digits, one past
+    # Python's default limit on int-to-text conversion; _emit lifts the
+    # limit while it writes and puts it back afterwards
+    get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    outer = get_digits()
+    # the default, whatever earlier runs left
+    limit = 4300 if hasattr(sys, "set_int_max_str_digits") else 0
+    set_digits(limit)
+    try:
+        runs = {fmt: capture("gamma", "-L", "14286", "-t", "3", "--format", fmt)
+                for fmt in ("text", "csv", "json")}
+        assert get_digits() == limit
+        set_digits(0)
+        count = str(2**14285)
+        assert runs["text"] == (0, count + "\n", "")
+        assert runs["csv"] == (0, f"length,width,count\n14286,3,{count}\n", "")
+        code, out, err = runs["json"]
+        assert (code, err) == (0, "") and check_json_line(out)["result"] == {"count": 2**14285}
+    finally:
+        set_digits(outer)
+
+
 # run() on argv in a fresh interpreter, stdout discarded; stderr ends with
 # the exit code and the peak RSS in KiB.  The peak is read from VmHWM, not
 # getrusage, whose maximum a child carries over from the parent it forked from.
@@ -450,18 +474,23 @@ def test_verify_exit_codes(capture):
     for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
         code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)
         assert code == 2 and out == "" and "no cases" in err
-    # nor has a case, or a family of cases, whose range is empty
-    for suite, param in (("limit-bounds", "max_k=3"),
-                         ("bounds-4k", "max_k_density=0"),
-                         ("bounds-4k", "max_n_paths=2"),
-                         ("gamma", "max_t=1"),
-                         ("gamma", "max_l=-1"),
-                         ("gamma", "max_l_products=0"),
-                         ("constructions", "max_t=0"),
-                         ("constructions", "max_n_base=2")):
-        code, out, err = capture("verify", "--suite", suite, "--param", param)
-        assert code == 2 and out == ""
-        assert param in err and "is empty" in err
+    # nor has a case, or a family of cases, whose range is empty: one below
+    # the first value of every range in the suite table is refused, and a
+    # suite with each of its ranges at its first value runs
+    checked = 0
+    for suite, (_, defaults) in extremal_search._SUITES.items():
+        starts = {key: d.start for key, d in defaults.items() if isinstance(d, range)}
+        for key, start in starts.items():
+            param = f"{key}={start - 1}"
+            code, out, err = capture("verify", "--suite", suite, "--param", param)
+            assert code == 2 and out == ""
+            assert param in err and "is empty" in err
+            checked += 1
+        if starts:
+            argv = [a for key, start in starts.items() for a in ("--param", f"{key}={start}")]
+            code, out, _ = capture("verify", "--suite", suite, *argv, "--format", "json")
+            assert code == 0 and check_json_line(out)["result"]["cases"]
+    assert checked == 15
 
 
 def test_verify_json_schema(capture):

@@ -1,5 +1,6 @@
 """Brute-force maxima, closed forms, and the verification suites."""
 
+import hashlib
 import json
 from math import comb
 
@@ -322,6 +323,67 @@ def test_suite_names_and_errors():
         verify_suite("catalan-identity", max_k=0)
     with pytest.raises(ValueError, match=r"gamma_ks=\(\)"):
         verify_suite("bounds-4k", gamma_ks=())
+
+
+def test_suite_int_parameter_refuses_a_bool():
+    # bool is an int subclass, but True names no range top and no size
+    for key in ("max_k", "root_check_k"):
+        with pytest.raises(ValueError, match=f"'{key}' wants int, got True"):
+            verify_suite("limit-bounds", **{key: True})
+
+
+def test_suite_loops_over_ranges_and_reports_their_tops(monkeypatch):
+    seen = []
+
+    def spy(params, jobs):
+        seen.append(params)
+        return [extremal_search.CaseResult("spy", 0, 0, True)]
+
+    defaults = extremal_search._SUITES["bounds-4k"][1]
+    monkeypatch.setitem(extremal_search._SUITES, "bounds-4k", (spy, defaults))
+    report = verify_suite("bounds-4k", max_n_paths=4, gamma_ks=[16])
+    assert seen == [{"max_k_f": range(0, 31), "max_n_paths": range(3, 5),
+                     "max_k_density": range(1, 61), "gamma_ks": [16]}]
+    assert report.params == {"max_k_f": 30, "max_n_paths": 4, "max_k_density": 60,
+                             "gamma_ks": [16]}
+    # an empty range or family is refused before the suite runs
+    for key, value, message in (("max_n_paths", 2, "the range 3..2 is empty"),
+                                ("gamma_ks", (), "the family is empty")):
+        with pytest.raises(ValueError) as err:
+            verify_suite("bounds-4k", **{key: value})
+        assert str(err.value) == (f"suite 'bounds-4k' runs no cases with "
+                                  f"{key}={value!r}: {message}")
+    assert len(seen) == 1
+
+
+# sha256 of each suite's default report, to_text() followed by the JSON of
+# to_json_obj(); computed at commit d51694e, before the suite table held
+# the ranges, so every default report is byte-identical to that commit's
+DEFAULT_REPORT_SHA256 = {
+    "bounds-4k": "c0116b82c5b289efc7029112d7906d9efb04bc49de1c368a9f4b69ec41999843",
+    "c-table": "d3b09402842aa0c3e87daaf3fad42d222ab32b43fa0ca0f6ae3d2450b3610079",
+    "catalan-identity": "47d84e6f55743a5b6cb66b497e4f2120a0eb6a29605449f8988bd4c32a747a59",
+    "constructions": "83166107e37083d9ee67ca97670ed486a06ef133477feb51a9ea985a6fd53cd8",
+    "counterexample-6": "add36774e8f52157c387e56097461be5c82f70fa47035131157bdb79b0b6bb26",
+    "cycle-bijection": "8898494d014e19ae1a62d88ca28465e9b7c12fb02158d32e818c00ea18eda2ea",
+    "cycle-closed-forms": "5db786ea542db689ae0bbdd84d34d2ed3dc72a85e38bbac62606deb259d26636",
+    "fan-formula": "51414b4c0095035a6f65efca61eb83d55826e7d9c577f524d23fd6f1358cfcd0",
+    "gamma": "b28c94689e32f52764e5d215d6082d7b3ff76f43c1a794c52831ec413ed87f37",
+    "greedy-optimality": "be52b484ec420526a2a0ca9d8a69d3e2d1d5dfec1423337949e09d940b6e4b8e",
+    "injection": "cce8d7e65dc7cae9f44cbe73688cc30218a9bf940b0be6e1d9a1204c65c6f907",
+    "limit-bounds": "69758cbeedeed5727977947f769b0e6b7f88563dadd1559e66beab7c2b098dfd",
+    "p3-exact": "a0eb37b11cabf46616986a1dd95d078b6823dd4c3327590bc434d6d23f996264",
+    "star-blowup": "d9f9bee57d76a2c17cefca06e3462b24f8e9d45faf07f0de202cb3ca4096ad0d",
+    "triple-fan-beats-fan": "c9cd3cd90632464c64d09a31e0ebf8fdd1d9eb70b6961ff74e0abdb26235ece0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_REPORT_SHA256))
+def test_default_reports_are_pinned(name):
+    assert sorted(DEFAULT_REPORT_SHA256) == suite_names()
+    report = verify_suite(name)
+    blob = report.to_text() + json.dumps(report.to_json_obj())
+    assert hashlib.sha256(blob.encode()).hexdigest() == DEFAULT_REPORT_SHA256[name]
 
 
 # numeral_graph(10, 2) has one schedule per endpoint pair at k = 8, so a
