@@ -588,13 +588,14 @@ def _suite_injection(params, jobs):
 def _suite_bounds_4k(params, jobs):
     ks, path_ns, density_ks = params["max_k_f"], params["max_n_paths"], params["max_k_density"]
     cases = []
-    bounds = exactmath.path_count_bounds(max(ks[-1], path_ns[-1] - 1))  # read by both cases
+    bounds = exactmath.path_count_bounds(ks[-1])
     bad = [k for k in ks if bounds.any_pair(k) > 4**k]
     cases.append(CaseResult("path-bound-below-4^k", 0, len(bad), not bad,
                             detail=f"k = {ks.start}..{ks[-1]}"))
     for n in path_ns:
-        bad_ks = [k for k in range(1, n)
-                  if max_fixed_endpoint_paths(n, k) > bounds.any_pair(k)]
+        # the left operand runs first, so its size guard fires before a table is built
+        bad_ks = [k for k in range(1, n) if max_fixed_endpoint_paths(n, k)
+                  > exactmath.path_count_bounds(n - 1).any_pair(k)]
         cases.append(CaseResult(f"fixed-endpoint-max-below-bound-n{n}", 0,
                                 len(bad_ks), not bad_ks,
                                 detail="all edge counts, all pairs"))

@@ -4,13 +4,14 @@ Each test prints a single `criterion NN ... PASS/FAIL` line (visible with
 `pytest -s` or on failure).  Criterion 5 checks the 2-edge-path maximum
 and the full set of maximizer classes for 4 <= n <= 10: the fan alone,
 except at n=6, where the glued triple fan ties it at 21 two-edge paths.
+Reports come from the session's `suite_report` fixture, so the default-report
+pins in test_extremal_search reuse these runs.
 """
 
 import time
 from fractions import Fraction
 
 from opturan import exactmath, numeral_paths
-from opturan.extremal_search import verify_suite
 
 
 def _report(criterion, label, reports, started):
@@ -27,9 +28,9 @@ def _report(criterion, label, reports, started):
     return passed
 
 
-def test_criterion_01_density_table():
+def test_criterion_01_density_table(suite_report):
     started = time.perf_counter()
-    report = verify_suite("c-table")
+    report = suite_report("c-table")
     known = (Fraction(1), Fraction(1), Fraction(3, 2), Fraction(5, 2),
              Fraction(5), Fraction(21, 2), Fraction(95, 4),
              Fraction(227, 4), Fraction(141), Fraction(1447, 4))
@@ -39,32 +40,32 @@ def test_criterion_01_density_table():
     assert ok
 
 
-def test_criterion_02_catalan_identity():
+def test_criterion_02_catalan_identity(suite_report):
     started = time.perf_counter()
-    report = verify_suite("catalan-identity", max_k=50)
+    report = suite_report("catalan-identity", max_k=50)
     ok = _report(2, "fixed-vertex subtree identity", [report], started)
     assert ok
 
 
-def test_criterion_03_cycle_closed_forms():
+def test_criterion_03_cycle_closed_forms(suite_report):
     started = time.perf_counter()
-    report = verify_suite("cycle-closed-forms", max_n=11)
+    report = suite_report("cycle-closed-forms", max_n=11)
     ok = _report(3, "short-cycle closed forms vs brute force", [report], started)
     assert ok
 
 
-def test_criterion_04_bijection_and_greedy():
+def test_criterion_04_bijection_and_greedy(suite_report):
     started = time.perf_counter()
-    bijection = verify_suite("cycle-bijection", max_n=10)
-    greedy = verify_suite("greedy-optimality", max_n=10)
+    bijection = suite_report("cycle-bijection", max_n=10)
+    greedy = suite_report("greedy-optimality", max_n=10)
     ok = _report(4, "cycle/dual-subtree bijection + greedy optimality",
                  [bijection, greedy], started)
     assert ok
 
 
-def test_criterion_05_two_edge_path_claim():
+def test_criterion_05_two_edge_path_claim(suite_report):
     started = time.perf_counter()
-    report = verify_suite("p3-exact", max_n=10)
+    report = suite_report("p3-exact", max_n=10)
     ok = _report(5, "2-edge-path maximum and maximizer classes",
                  [report], started)
     assert ok, (
@@ -73,49 +74,49 @@ def test_criterion_05_two_edge_path_claim():
     )
 
 
-def test_criterion_06_counterexample_at_six():
+def test_criterion_06_counterexample_at_six(suite_report):
     started = time.perf_counter()
-    report = verify_suite("counterexample-6")
+    report = suite_report("counterexample-6")
     ok = _report(6, "3-edge paths at n=6: 33 beats the fan's 32",
                  [report], started)
     assert ok
 
 
-def test_criterion_07_fan_formula():
+def test_criterion_07_fan_formula(suite_report):
     started = time.perf_counter()
-    report = verify_suite("fan-formula", max_n=14)
+    report = suite_report("fan-formula", max_n=14)
     ok = _report(7, "fan path closed form vs direct count", [report], started)
     assert ok
 
 
-def test_criterion_08_triple_fan_dominance():
+def test_criterion_08_triple_fan_dominance(suite_report):
     started = time.perf_counter()
-    report = verify_suite("triple-fan-beats-fan", n=45, k=6)
+    report = suite_report("triple-fan-beats-fan", n=45, k=6)
     ok = _report(8, "triple fan beats fan at n=45, paths on 6 vertices",
                  [report], started)
     assert ok
 
 
-def test_criterion_09_schedule_machinery():
+def test_criterion_09_schedule_machinery(suite_report):
     started = time.perf_counter()
-    report = verify_suite("gamma", max_l=12, max_t=6, max_l_products=10)
+    report = suite_report("gamma", max_l=12, max_t=6, max_l_products=10)
     ok = _report(9, "schedule counts, products, Catalan cap", [report], started)
     assert ok
 
 
-def test_criterion_10_injection_validity():
+def test_criterion_10_injection_validity(suite_report):
     started = time.perf_counter()
-    report = verify_suite("injection")
+    report = suite_report("injection")
     ok = _report(10, "schedule-to-path injection on three graph sizes",
                  [report], started)
     assert ok
 
 
-def test_criterion_11_bounds():
+def test_criterion_11_bounds(suite_report):
     started = time.perf_counter()
-    bounds = verify_suite("bounds-4k", max_k_f=30, max_n_paths=10,
+    bounds = suite_report("bounds-4k", max_k_f=30, max_n_paths=10,
                           max_k_density=60, gamma_ks=(16, 25, 36))
-    limits = verify_suite("limit-bounds", max_k=60)
+    limits = suite_report("limit-bounds", max_k=60)
     ok = _report(11, "4^k ceilings and exact growth brackets",
                  [bounds, limits], started)
     # spot checks behind the suites
@@ -124,10 +125,10 @@ def test_criterion_11_bounds():
     assert ok
 
 
-def test_criterion_12_constructions():
+def test_criterion_12_constructions(suite_report):
     started = time.perf_counter()
-    constructions = verify_suite("constructions", max_t=3, max_n_base=12)
-    blowup = verify_suite("star-blowup")
+    constructions = suite_report("constructions", max_t=3, max_n_base=12)
+    blowup = suite_report("star-blowup")
     ok = _report(12, "digit-rule triangulations and star blow-ups",
                  [constructions, blowup], started)
     assert ok

@@ -7,7 +7,7 @@ from math import comb
 import jsonschema
 import pytest
 
-from opturan import extremal_search, graph_core, numeral_paths
+from opturan import exactmath, extremal_search, graph_core, numeral_paths
 from opturan.cli import OUTPUT_SCHEMA
 from opturan.exactmath import path_count_bounds
 from opturan.extremal_search import (
@@ -201,6 +201,22 @@ def test_suite_guard_fires_before_the_first_host(monkeypatch, suite, max_n, guar
     assert str(err.value) == f"{guard} lower the value (verify_suite takes no limit)"
 
 
+def test_fixed_endpoint_guard_fires_before_a_bounds_table(monkeypatch):
+    real = exactmath.path_count_bounds
+
+    def small_only(k_max):
+        assert k_max <= 10, f"bounds-4k built a path table to k={k_max}"
+        return real(k_max)
+
+    monkeypatch.setattr(exactmath, "path_count_bounds", small_only)
+    guard = "fixed-endpoint host size n=11 exceeds the desk-scale guard 10"
+    with pytest.raises(ScaleLimitError) as err:
+        verify_suite("bounds-4k", max_k_f=10, max_n_paths=10**6)
+    assert err.value.args[0] == guard
+    # the fixed-endpoint case does not read the max_k_f table
+    assert verify_suite("bounds-4k", max_k_f=5).passed
+
+
 def test_brute_force_many_shares_enumeration():
     results = brute_force_many(7, [Pattern.cycle(3), Pattern.cycle(5),
                                    Pattern.path(2)])
@@ -379,9 +395,9 @@ DEFAULT_REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_REPORT_SHA256))
-def test_default_reports_are_pinned(name):
+def test_default_reports_are_pinned(suite_report, name):
     assert sorted(DEFAULT_REPORT_SHA256) == suite_names()
-    report = verify_suite(name)
+    report = suite_report(name)  # the run test_acceptance makes at the same values
     blob = report.to_text() + json.dumps(report.to_json_obj())
     assert hashlib.sha256(blob.encode()).hexdigest() == DEFAULT_REPORT_SHA256[name]
 
