@@ -37,7 +37,6 @@ from .graph_core import (
 )
 from .guards import ScaleLimitError
 from .numeral_paths import (
-    NumeralGraph,
     StepSchedule,
     admissible_pairs,
     count_schedules,

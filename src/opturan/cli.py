@@ -281,7 +281,7 @@ def _cmd_gen(args) -> int:
     else:
         base, width = args.numeral
         mop = numeral_paths.numeral_graph(
-            base, width, **_unsafe_scale(args, "vertex-count")).mop
+            base, width, **_unsafe_scale(args, "vertex-count"))
         params = {"numeral": [base, width]}
     # only text and DOT build the graph; json writes the sorted chord
     # tuples exactly as it would write to_json_obj's lists
@@ -383,7 +383,11 @@ def _cmd_verify(args) -> int:
         if not value:
             print(f"verify: --param wants KEY=VALUE, got {item!r}", file=sys.stderr)
             return 2
-        overrides[key.replace("-", "_")] = int(value) if value.lstrip("-").isdigit() else value
+        try:
+            value = int(value)  # what argparse does for --max-k and the rest
+        except ValueError:
+            pass  # verify_suite refuses it with the type it wants
+        overrides[key.replace("-", "_")] = value
     report = extremal_search.verify_suite(args.suite, jobs=args.jobs, **overrides)
     _emit(args, {"suite": args.suite}, text=lambda: [report.to_text()],
           json=report.to_json_obj)

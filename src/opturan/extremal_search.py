@@ -555,8 +555,8 @@ def _suite_gamma(params, jobs):
 def _suite_injection(params, jobs):
     cases = []
     for base, width, k in params["triples"]:
-        graph = numeral_paths.numeral_graph(base, width)
-        adjacent, n = graph.mop.adjacent, graph.n
+        host = numeral_paths.numeral_graph(base, width)
+        adjacent, n = host.adjacent, host.n
         schedules = list(numeral_paths.enumerate_schedules(k - 2 * width, width))
         expected_per_pair = numeral_paths.count_schedules(k - 2 * width, width)
         pairs = numeral_paths.admissible_pairs(base, width, k)
@@ -650,9 +650,9 @@ def _suite_constructions(params, jobs):
         for base in range(2, fan_bases[-1] + 1):
             if base**width < 3:
                 continue
-            graph = numeral_paths.numeral_graph(base, width)
-            n = graph.n
-            edge_count = graph.graph.edge_count()
+            host = numeral_paths.numeral_graph(base, width)
+            n = host.n
+            edge_count = host.graph.edge_count()
             cases.append(CaseResult(
                 f"N{base}-t{width}-triangulation", 2 * n - 3, edge_count,
                 edge_count == 2 * n - 3,
@@ -664,10 +664,9 @@ def _suite_constructions(params, jobs):
     cases.append(CaseResult("width-1-equals-fan", 0, len(mismatched),
                             not mismatched,
                             detail=f"bases {fan_bases.start}..{fan_bases[-1]}"))
-    g42 = numeral_paths.numeral_graph(4, 2)
     expected_chords = [(0, 2), (0, 3), (0, 4), (0, 8), (0, 12), (4, 6), (4, 7),
                        (4, 8), (8, 10), (8, 11), (8, 12), (12, 14), (12, 15)]
-    actual_chords = g42.mop.sorted_chords()
+    actual_chords = numeral_paths.numeral_graph(4, 2).sorted_chords()
     cases.append(CaseResult("base4-width2-chords",
                             [list(c) for c in expected_chords],
                             [list(c) for c in actual_chords],

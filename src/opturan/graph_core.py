@@ -954,17 +954,24 @@ def _dihedral_images(n: int, chords) -> set[tuple[tuple[int, int], ...]]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Edge-list format: first line n, then one 'u v' line per edge."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+    """Edge-list format: first line n, then one 'u v' line per edge.  A bad
+    line is refused with its number, blank and '#' lines counted."""
+    lines = [(i, ln) for i, ln in enumerate((raw.strip() for raw in text.splitlines()), 1)
              if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty edge list")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Graph(n, edges)
+    (n,) = _line_ints(*lines[0], 1, "the vertex count n")
+    return Graph(n, [_line_ints(i, ln, 2, "'u v'") for i, ln in lines[1:]])
+
+
+def _line_ints(i: int, line: str, count: int, want: str) -> tuple[int, ...]:
+    try:
+        values = tuple(map(int, line.split()))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ValueError(f"line {i}: want {want}, got {line!r}")
+    return values
 
 
 def format_edge_list(g: Graph) -> str:

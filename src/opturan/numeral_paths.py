@@ -25,11 +25,10 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Iterator, Sequence
 
-from .graph_core import Graph, Mop, MopError
+from .graph_core import Mop, MopError
 from .guards import check_limit
 
 __all__ = [
-    "NumeralGraph",
     "numeral_graph",
     "StepSchedule",
     "count_schedules",
@@ -74,31 +73,6 @@ def _digits(x: int, base: int, width: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class NumeralGraph:
-    """The digit-rule triangulation on base**width vertices."""
-
-    base: int
-    width: int
-    mop: Mop
-
-    @property
-    def n(self) -> int:
-        return self.mop.n
-
-    @property
-    def graph(self) -> Graph:
-        return self.mop.graph
-
-    def adjacent_by_rule(self, x: int, y: int) -> bool:
-        """Adjacency decided from the construction rules alone, without a
-        graph lookup."""
-        n = self.base**self.width
-        if not (0 <= x < n and 0 <= y < n):
-            return False
-        return _adjacent_by_rule(x, y, self.base, self.width)
-
-
 def _rule_chords(base: int, width: int, n: int) -> Iterator[tuple[int, int]]:
     """The digit-rule chords (a, b), a < b, repeats included, built from
     one int object per label."""
@@ -119,8 +93,8 @@ def _rule_chords(base: int, width: int, n: int) -> Iterator[tuple[int, int]]:
 
 
 def numeral_graph(base: int, width: int,
-                  limit: int | None = NUMERAL_VERTEX_LIMIT) -> NumeralGraph:
-    """Build the digit-rule triangulation.
+                  limit: int | None = NUMERAL_VERTEX_LIMIT) -> Mop:
+    """Build the digit-rule triangulation as a `Mop`.
 
     The edge set is re-validated as a polygon-plus-chords triangulation; a
     failure there means the construction itself is broken, so it surfaces
@@ -136,13 +110,12 @@ def numeral_graph(base: int, width: int,
         raise ValueError(f"need at least 3 vertices, got base**width={n}")
     chords = frozenset(_rule_chords(base, width, n))
     try:
-        mop = Mop(n, chords)  # keeps this frozenset and its tuples
+        return Mop(n, chords)  # keeps this frozenset and its tuples
     except MopError as exc:
         raise RuntimeError(
             f"digit-rule edge set for base={base}, width={width} is not a "
             f"triangulation: {exc}"
         ) from exc
-    return NumeralGraph(base=base, width=width, mop=mop)
 
 
 # ---------------------------------------------------------------------------

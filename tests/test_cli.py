@@ -133,7 +133,7 @@ def test_gen_json_builds_no_graph(capture):
     (("--fan", "60"), {"fan": 60}, lambda: graph_core.fan(60)),
     (("--triple-fan", "45"), {"triple_fan": 45}, lambda: graph_core.triple_fan(45)),
     (("--numeral", "10", "3"), {"numeral": [10, 3]},
-     lambda: numeral_paths.numeral_graph(10, 3).mop),
+     lambda: numeral_paths.numeral_graph(10, 3)),
 ])
 def test_gen_json_prints_mop_to_json_obj(capture, argv, params, build):
     # gen prints the sorted chord tuples; json must write them exactly as
@@ -220,6 +220,13 @@ def test_count_missing_file(capture):
     code, _, err = capture("count", "--graph", "/nonexistent/g.txt",
                            "--pattern", "cycle:3")
     assert code == 2 and "g.txt" in err
+
+
+def test_count_names_the_bad_edge_list_line(capture, tmp_path):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("3\n0 1 2\n")
+    code, out, err = capture("count", "--graph", str(graph_file), "--pattern", "cycle:3")
+    assert (code, out, err) == (2, "", "count: line 2: want 'u v', got '0 1 2'\n")
 
 
 def test_subtrees_command(capture, tmp_path):
@@ -500,6 +507,17 @@ def test_verify_json_schema(capture):
     assert obj["result"]["passed"] is True
 
 
+def test_verify_param_reads_ints_as_argparse_does(capture):
+    code, out, err = capture("verify", "--suite", "catalan-identity", "--param", "max_k=--5")
+    assert (code, out) == (2, "")
+    assert err == "verify: suite 'catalan-identity' parameter 'max_k' wants int, got '--5'\n"
+    plus = capture("verify", "--suite", "catalan-identity", "--param", "max_k=+5")
+    assert plus == capture("verify", "--suite", "catalan-identity", "--max-k", "+5")
+    assert plus[0] == 0 and "params: max_k=5\n" in plus[1]
+    code, out, err = capture("verify", "--suite", "catalan-identity", "--param", "max_k=x")
+    assert (code, out) == (2, "") and "wants int, got 'x'" in err
+
+
 def test_verify_rejects_unknown_param(capture):
     code, _, err = capture("verify", "--suite", "c-table", "--param", "zap=1")
     assert code == 2 and "zap" in err
@@ -591,6 +609,7 @@ ARGV_FILES = {
     "k5.txt": "5\n" + "".join(f"{a} {b}\n" for a in range(5) for b in range(a + 1, 5)),
     "cycle.txt": "4\n0 1\n1 2\n2 3\n3 0\n",
     "junk.txt": "not a graph\n",
+    "three.txt": "3\n0 1 2\n",
 }
 
 
@@ -639,7 +658,8 @@ def _argv(files: Path):
                                         ("30", "3", "13", "26999", "13965")]),
                        st.one_of(st.just(-1), st.integers(0, 4)), ints(-1, 14)).map(inject_argv)
     params = st.lists(st.sampled_from(["n=12", "k=4", "max_k=3", "max_n=x", "zap=1",
-                                       "novalue", "max_l_products=2"]),
+                                       "novalue", "max_l_products=2", "max_k=--5",
+                                       "max_k=+5"]),
                       max_size=2).map(lambda ps: [a for p in ps for a in ("--param", p)])
     # injection has no size to lower and gamma's defaults take a second
     cheap_suites = [s for s in extremal_search.suite_names() if s not in ("injection", "gamma")]

@@ -436,7 +436,7 @@ def test_injection_accepts_the_closing_side(monkeypatch):
     path = [88, 87, 86, 85, 84, 83, 80, 0, 99]
     host = numeral_paths.numeral_graph(10, 2)
     assert all(host.graph.adjacent(x, y) for x, y in zip(path, path[1:]))
-    assert (0, 99) not in host.mop.chords  # a side, not a chord
+    assert (0, 99) not in host.chords  # a side, not a chord
     case = _injection_with_path(monkeypatch, path)
     assert (case.actual, case.passed) == (0, True)
 

@@ -766,6 +766,19 @@ def test_edge_list_round_trip():
         parse_edge_list("")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("x\n0 1\n", "line 1: want the vertex count n, got 'x'"),
+    ("3 4\n0 1\n", "line 1: want the vertex count n, got '3 4'"),
+    ("# header\n\n3\n0\n", "line 4: want 'u v', got '0'"),
+    ("3\n0 1 2\n", "line 2: want 'u v', got '0 1 2'"),
+    ("3\n0 1\n\n1 x\n", "line 4: want 'u v', got '1 x'"),
+])
+def test_edge_list_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 def test_dot_output_mentions_all_edges():
     g = fan(4).graph
     dot = graph_to_dot(g)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from opturan import graph_core, numeral_paths
 from opturan.exactmath import catalan
-from opturan.graph_core import fan
+from opturan.graph_core import Mop, fan
 from opturan.guards import ScaleLimitError
 from opturan.numeral_paths import (
     StepSchedule,
@@ -30,9 +30,10 @@ from opturan.numeral_paths import (
 
 def test_numeral_graph_4_2_structure():
     g = numeral_graph(4, 2)
+    assert type(g) is Mop
     assert g.n == 16
     assert g.graph.edge_count() == 29
-    assert g.mop.sorted_chords() == [
+    assert g.sorted_chords() == [
         (0, 2), (0, 3), (0, 4), (0, 8), (0, 12), (4, 6), (4, 7), (4, 8),
         (8, 10), (8, 11), (8, 12), (12, 14), (12, 15),
     ]
@@ -47,6 +48,7 @@ def test_numeral_graph_wraparound_edge():
 def test_numeral_graph_width_one_is_fan():
     for base in range(3, 13):
         assert numeral_graph(base, 1).graph.edges == fan(base).graph.edges
+        assert numeral_graph(base, 1) == fan(base)
 
 
 def test_numeral_graph_validates_as_triangulation():
@@ -68,7 +70,7 @@ def test_numeral_graph_hands_its_chord_set_to_mop_uncopied(monkeypatch):
     [chords] = handed
     # one frozenset is built, and validation keeps it: no set, no copy
     assert type(chords) is frozenset
-    assert g.mop.chords is chords
+    assert g.chords is chords
 
 
 def test_numeral_graph_builds_its_host_without_transient_copies():
@@ -103,7 +105,7 @@ def test_rule_adjacency_matches_edge_set():
         edges = g.graph.edges
         for x in range(g.n):
             for y in range(x + 1, g.n):
-                assert g.adjacent_by_rule(x, y) == ((x, y) in edges)
+                assert numeral_paths._adjacent_by_rule(x, y, base, width) == ((x, y) in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +483,8 @@ def test_schedule_paths_distinct_wider():
         path = schedule_to_path(a, b, sched, base, width, k)
         assert len(set(path)) == k + 1
         for x, y in zip(path, path[1:]):
-            assert g.adjacent_by_rule(x, y)
+            assert numeral_paths._adjacent_by_rule(x, y, base, width)
+            assert g.adjacent(x, y)
         seen.add(tuple(path))
     assert len(seen) == count_schedules(k - 2 * width, width) == 128
 

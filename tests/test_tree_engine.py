@@ -128,7 +128,7 @@ def test_faces_and_weak_dual_against_brute_force():
 
 
 def test_weak_dual_of_a_large_host():
-    m = numeral_graph(10, 5).mop
+    m = numeral_graph(10, 5)
     assert len(m.triangles()) == m.n - 2
     dual = weak_dual(m)  # Tree() rejects anything that is not a tree
     assert isinstance(dual, Tree) and dual.n == m.n - 2
