@@ -70,6 +70,7 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 11       # host size for cycle/path sweeps
 BRUTE_FORCE_TREE_LIMIT = 9   # host size for generic tree patterns
+FIXED_ENDPOINT_LIMIT = 10    # host size for fixed-endpoint path maxima
 
 
 class NotCovered:
@@ -245,7 +246,7 @@ def _fixed_endpoint_maxima(n: int) -> tuple[int, ...]:
     return tuple(best)
 
 
-def max_fixed_endpoint_paths(n: int, k: int, limit: int | None = 10) -> int:
+def max_fixed_endpoint_paths(n: int, k: int, limit: int | None = FIXED_ENDPOINT_LIMIT) -> int:
     """Largest number of k-edge paths between any fixed vertex pair in any
     triangulation of the n-gon."""
     check_limit(n, limit, "fixed-endpoint host size n")
@@ -379,7 +380,6 @@ def _suite_catalan_identity(params, jobs):
 
 
 def _suite_cycle_closed_forms(params, jobs):
-    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
     for n in params["max_n"]:
         ks = [k for k in (3, 4, 5, 6) if n >= k]
@@ -420,7 +420,6 @@ def _suite_cycle_closed_forms(params, jobs):
 
 
 def _suite_cycle_bijection(params, jobs):
-    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "polygon size n")
     cases = []
     for n in params["max_n"]:
         mismatches = 0
@@ -439,7 +438,6 @@ def _suite_cycle_bijection(params, jobs):
 
 
 def _suite_greedy_optimality(params, jobs):
-    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
     for n in params["max_n"]:
         patterns = [Pattern.cycle(k) for k in range(3, n + 1)]
@@ -458,7 +456,6 @@ def _suite_greedy_optimality(params, jobs):
 
 
 def _suite_p3_exact(params, jobs):
-    check_limit(params["max_n"][-1], BRUTE_FORCE_LIMIT, "brute-force host size n")
     cases = []
     for n in params["max_n"]:
         res = brute_force_maximum(n, Pattern.path(2), dedup=True, jobs=jobs)
@@ -508,14 +505,14 @@ def _suite_counterexample_6(params, jobs):
 
 def _suite_triple_fan_beats_fan(params, jobs):
     n, k = params["n"], params["k"]
-    cmp = triple_fan_comparison(n, k)
-    cases = [
+    if not 4 <= k <= n:  # the fan's closed form wants n > k - 1 >= 3 edges
+        raise ValueError(f"suite 'triple-fan-beats-fan' needs n >= k >= 4, got n={n}, k={k}")
+    cmp, closed = triple_fan_comparison(n, k), fan_path_count(n, k - 1)
+    return [
         CaseResult(f"n{n}-P{k}-dominance", "triple > fan",
                    f"triple={cmp.triple} fan={cmp.fan}", cmp.triple > cmp.fan),
-        CaseResult(f"n{n}-fan-closed-form", fan_path_count(n, k - 1), cmp.fan,
-                   cmp.fan == fan_path_count(n, k - 1)),
+        CaseResult(f"n{n}-fan-closed-form", closed, cmp.fan, cmp.fan == closed),
     ]
-    return cases
 
 
 def _suite_gamma(params, jobs):
@@ -588,14 +585,12 @@ def _suite_injection(params, jobs):
 def _suite_bounds_4k(params, jobs):
     ks, path_ns, density_ks = params["max_k_f"], params["max_n_paths"], params["max_k_density"]
     cases = []
-    bounds = exactmath.path_count_bounds(ks[-1])
+    bounds = exactmath.path_count_bounds(max(ks[-1], path_ns[-1] - 1))
     bad = [k for k in ks if bounds.any_pair(k) > 4**k]
     cases.append(CaseResult("path-bound-below-4^k", 0, len(bad), not bad,
                             detail=f"k = {ks.start}..{ks[-1]}"))
     for n in path_ns:
-        # the left operand runs first, so its size guard fires before a table is built
-        bad_ks = [k for k in range(1, n) if max_fixed_endpoint_paths(n, k)
-                  > exactmath.path_count_bounds(n - 1).any_pair(k)]
+        bad_ks = [k for k in range(1, n) if max_fixed_endpoint_paths(n, k) > bounds.any_pair(k)]
         cases.append(CaseResult(f"fixed-endpoint-max-below-bound-n{n}", 0,
                                 len(bad_ks), not bad_ks,
                                 detail="all edge counts, all pairs"))
@@ -674,30 +669,36 @@ def _suite_constructions(params, jobs):
     return cases
 
 
-# Each suite's parameters and defaults.  A parameter that tops a range of
-# cases defaults to that range, the one place its first value is written, and
-# an override names its top; a family of cases is a tuple, all else a scalar.
-_SUITES: dict[str, tuple[Callable, dict]] = {
-    "c-table": (_suite_c_table, {}),
-    "catalan-identity": (_suite_catalan_identity, {"max_k": range(1, 51)}),
-    "cycle-closed-forms": (_suite_cycle_closed_forms, {"max_n": range(3, 12)}),
-    "cycle-bijection": (_suite_cycle_bijection, {"max_n": range(3, 11)}),
-    "greedy-optimality": (_suite_greedy_optimality, {"max_n": range(3, 11)}),
-    "p3-exact": (_suite_p3_exact, {"max_n": range(4, 11)}),
-    "fan-formula": (_suite_fan_formula, {"max_n": range(4, 15)}),
-    "counterexample-6": (_suite_counterexample_6, {}),
-    "triple-fan-beats-fan": (_suite_triple_fan_beats_fan, {"n": 45, "k": 6}),
+# Each suite's defaults, then each int parameter's top.  A range parameter
+# defaults to its range, the one place its first value is written, and an
+# override names its top.  A sweep's top is its host guard; any other is the
+# largest round value at which the suite runs in about 5 s, the rest at default.
+_SWEEP_TOPS = {"max_n": BRUTE_FORCE_LIMIT}
+_SUITES: dict[str, tuple[Callable, dict, dict]] = {
+    "c-table": (_suite_c_table, {}, {}),
+    "catalan-identity": (_suite_catalan_identity, {"max_k": range(1, 51)}, {"max_k": 3000}),
+    "cycle-closed-forms": (_suite_cycle_closed_forms, {"max_n": range(3, 12)}, _SWEEP_TOPS),
+    "cycle-bijection": (_suite_cycle_bijection, {"max_n": range(3, 11)}, _SWEEP_TOPS),
+    "greedy-optimality": (_suite_greedy_optimality, {"max_n": range(3, 11)}, _SWEEP_TOPS),
+    "p3-exact": (_suite_p3_exact, {"max_n": range(4, 11)}, _SWEEP_TOPS),
+    "fan-formula": (_suite_fan_formula, {"max_n": range(4, 15)}, {"max_n": 40}),
+    "counterexample-6": (_suite_counterexample_6, {}, {}),
+    "triple-fan-beats-fan": (_suite_triple_fan_beats_fan, {"n": 45, "k": 6},
+                             {"n": 600, "k": 20}),
     "gamma": (_suite_gamma, {"max_l": range(0, 13), "max_t": range(2, 7),
-                             "max_l_products": range(1, 11)}),
+                             "max_l_products": range(1, 11)},
+              {"max_l": 13, "max_t": 16, "max_l_products": 12}),
     "injection": (_suite_injection,
-                  {"triples": ((10, 2, 8), (12, 2, 10), (30, 3, 14))}),
+                  {"triples": ((10, 2, 8), (12, 2, 10), (30, 3, 14))}, {}),
     "bounds-4k": (_suite_bounds_4k,
                   {"max_k_f": range(0, 31), "max_n_paths": range(3, 11),
-                   "max_k_density": range(1, 61), "gamma_ks": (16, 25, 36)}),
-    "limit-bounds": (_suite_limit_bounds, {"max_k": range(16, 61), "root_check_k": 36}),
-    "star-blowup": (_suite_star_blowup, {}),
-    "constructions": (_suite_constructions, {"max_t": range(1, 4),
-                                             "max_n_base": range(3, 13)}),
+                   "max_k_density": range(1, 61), "gamma_ks": (16, 25, 36)},
+                  {"max_k_f": 2000, "max_n_paths": FIXED_ENDPOINT_LIMIT, "max_k_density": 400}),
+    "limit-bounds": (_suite_limit_bounds, {"max_k": range(16, 61), "root_check_k": 36},
+                     {"max_k": 400, "root_check_k": 400}),
+    "star-blowup": (_suite_star_blowup, {}, {}),
+    "constructions": (_suite_constructions, {"max_t": range(1, 4), "max_n_base": range(3, 13)},
+                      {"max_t": 5, "max_n_base": 40}),
 }
 
 
@@ -708,29 +709,32 @@ def suite_names() -> list[str]:
 def verify_suite(name: str, *, jobs: int = 1, **overrides) -> VerificationReport:
     """Run a named suite with its default parameters (overridable) and
     return the deterministic report.  An override of a range parameter
-    names the range's new top, and one that empties a range or a family
-    of cases is refused before the suite runs.  A suite's guards are
-    fixed, so a ScaleLimitError raised here says to lower the value."""
+    names the range's new top; one that empties a range or a family of
+    cases, or passes an int parameter's top, is refused before the suite
+    runs.  A ScaleLimitError raised here says to lower the value."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    func, defaults = _SUITES[name]
+    func, defaults, tops = _SUITES[name]
     params = {key: d[-1] if isinstance(d, range) else d for key, d in defaults.items()}
     args = dict(defaults)  # what the suite loops over: ranges where params has their tops
-    for key, value in overrides.items():
-        if key not in defaults:
-            raise ValueError(f"suite {name!r} takes no parameter {key!r}")
-        default = defaults[key]
-        want = int if isinstance(default, range) else type(default)
-        if isinstance(value, bool) or not isinstance(value, (tuple, list) if want is tuple else want):
-            raise ValueError(f"suite {name!r} parameter {key!r} wants "
-                             f"{want.__name__}, got {value!r}")
-        params[key] = args[key] = value
-        if isinstance(default, range):
-            args[key] = range(default.start, value + 1)
-        if not args[key] and isinstance(default, (range, tuple)):
-            what = "the family" if want is tuple else f"the range {default.start}..{value}"
-            raise ValueError(f"suite {name!r} runs no cases with {key}={value!r}: {what} is empty")
     try:
+        for key, value in overrides.items():
+            if key not in defaults:
+                raise ValueError(f"suite {name!r} takes no parameter {key!r}")
+            default = defaults[key]
+            want = int if isinstance(default, range) else type(default)
+            kinds = (tuple, list) if want is tuple else want
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"suite {name!r} parameter {key!r} wants "
+                                 f"{want.__name__}, got {value!r}")
+            params[key] = args[key] = value
+            if isinstance(default, range):
+                args[key] = range(default.start, value + 1)
+            if not args[key] and isinstance(default, (range, tuple)):
+                what = "the family" if want is tuple else f"the range {default.start}..{value}"
+                raise ValueError(f"suite {name!r} runs no cases with {key}={value!r}: "
+                                 f"{what} is empty")
+            check_limit(value, tops.get(key), f"suite {name!r} parameter {key}")
         cases = func(args, jobs)
     except ScaleLimitError as exc:
         exc.hint = "lower the value (verify_suite takes no limit)"

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -25,6 +26,10 @@ GAMMA_STDOUT = json.loads((Path(__file__).parent / "gamma_stdout.json").read_tex
 # keyed by argv and run in a directory holding "files", recorded before the
 # subcommands shared one writer of stdout.
 CLI_STDOUT = json.loads((Path(__file__).parent / "cli_stdout.json").read_text())
+# a child interpreter imports the package from where this one found it, so
+# the tests run alike with the package installed, on PYTHONPATH or neither
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -358,7 +363,7 @@ MEASURE_RSS = ("import sys\nfrom opturan.cli import run\ncode = run(sys.argv[1:]
 
 
 def max_rss_kib(*argv) -> int:
-    proc = subprocess.run([sys.executable, "-c", MEASURE_RSS, *argv], text=True,
+    proc = subprocess.run([sys.executable, "-c", MEASURE_RSS, *argv], text=True, env=CHILD_ENV,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=300)
     code, rss = proc.stderr.split()[-2:]
     assert code == "0", proc.stderr
@@ -475,8 +480,13 @@ def test_verify_exit_codes(capture):
     # verify has no --unsafe-scale, so its hint must not name that flag
     code, out, err = capture("verify", "--suite", "p3-exact", "--max-n", "12")
     assert (code, out) == (2, "")
-    assert err == ("verify: brute-force host size n=12 exceeds the desk-scale guard 11; "
-                   "lower the value (verify has no --unsafe-scale)\n")
+    assert err == ("verify: suite 'p3-exact' parameter max_n=12 exceeds the desk-scale "
+                   "guard 11; lower the value (verify has no --unsafe-scale)\n")
+    # the triple fan suite names the values typed, not the edge count k - 1
+    code, out, err = capture("verify", "--suite", "triple-fan-beats-fan",
+                             "--param", "n=6", "--param", "k=2")
+    assert (code, out) == (2, "")
+    assert err == "verify: suite 'triple-fan-beats-fan' needs n >= k >= 4, got n=6, k=2\n"
     # a suite that runs no cases has not verified anything
     for suite, max_n in (("p3-exact", "3"), ("cycle-bijection", "2")):
         code, out, err = capture("verify", "--suite", suite, "--max-n", max_n)
@@ -485,7 +495,7 @@ def test_verify_exit_codes(capture):
     # the first value of every range in the suite table is refused, and a
     # suite with each of its ranges at its first value runs
     checked = 0
-    for suite, (_, defaults) in extremal_search._SUITES.items():
+    for suite, (_, defaults, _) in extremal_search._SUITES.items():
         starts = {key: d.start for key, d in defaults.items() if isinstance(d, range)}
         for key, start in starts.items():
             param = f"{key}={start - 1}"
@@ -544,7 +554,7 @@ def test_usage_errors_exit_two(capture):
 def run_cli_subprocess(*argv):
     return subprocess.run(
         [sys.executable, "-m", "opturan.cli", *argv],
-        capture_output=True, timeout=300,
+        capture_output=True, timeout=300, env=CHILD_ENV,
     )
 
 
@@ -570,7 +580,7 @@ def test_byte_identical_output_across_processes():
       "--param", "k=4"), 0, 1),
 ])
 def test_closed_stdout_ends_the_run_quietly(argv, lines, code):
-    proc = subprocess.Popen([sys.executable, "-m", "opturan", *argv],
+    proc = subprocess.Popen([sys.executable, "-m", "opturan", *argv], env=CHILD_ENV,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     got = [proc.stdout.readline() for _ in range(lines)]
     proc.stdout.close()
@@ -583,7 +593,7 @@ def test_closed_stdout_ends_the_run_quietly(argv, lines, code):
 
 def test_python_dash_m_runs_the_cli(capsys):
     proc = subprocess.run([sys.executable, "-m", "opturan", "c-table", "--max-k", "5"],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, env=CHILD_ENV)
     assert run(["c-table", "--max-k", "5"]) == proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out
     assert proc.stdout.startswith("k ")
@@ -611,6 +621,12 @@ ARGV_FILES = {
     "junk.txt": "not a graph\n",
     "three.txt": "3\n0 1 2\n",
 }
+
+
+_ALL_TOPS = [tops for _, _, tops in extremal_search._SUITES.values()]
+# one value past each int parameter's largest top, which every suite refuses
+PAST_TOPS = sorted({f"{key}={max(t.get(key, 0) for t in _ALL_TOPS) + 1}"
+                    for tops in _ALL_TOPS for key in tops})
 
 
 @pytest.fixture(scope="module")
@@ -661,6 +677,8 @@ def _argv(files: Path):
                                        "novalue", "max_l_products=2", "max_k=--5",
                                        "max_k=+5"]),
                       max_size=2).map(lambda ps: [a for p in ps for a in ("--param", p)])
+    # drawn as the last --param, so that its value stands
+    past = opt("--param", st.sampled_from(PAST_TOPS))
     # injection has no size to lower and gamma's defaults take a second
     cheap_suites = [s for s in extremal_search.suite_names() if s not in ("injection", "gamma")]
     return st.one_of(
@@ -676,9 +694,9 @@ def _argv(files: Path):
         seq(st.just(["extremal"]), req("-n", ints(-1, 8)), pattern, flag("--no-dedup"),
             jobs, flag("--unsafe-scale"), fmt),
         seq(st.just(["verify"]), req("--suite", st.sampled_from(cheap_suites)),
-            opt("--max-n", ints(-1, 8)), opt("--max-k", ints(-1, 20)), params, jobs, fmt),
+            opt("--max-n", ints(-1, 8)), opt("--max-k", ints(-1, 20)), params, past, jobs, fmt),
         seq(st.just(["verify", "--suite", "gamma"]), req("--max-l", ints(-1, 6)),
-            opt("--max-t", ints(-1, 5)), params, fmt),
+            opt("--max-t", ints(-1, 5)), params, past, fmt),
     )
 
 
@@ -695,3 +713,4 @@ def test_exit_code_contract(argv_dir, data):
     assert code != 1 or argv[0] == "verify"
     assert code != 2 or out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+    assert code == 2 or not set(argv) & set(PAST_TOPS)

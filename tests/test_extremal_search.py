@@ -178,13 +178,9 @@ def test_brute_force_guards():
     assert brute_force_maximum(12, Pattern.cycle(3), limit=None).maximum == 10
 
 
-@pytest.mark.parametrize("suite,max_n,guard", [
-    ("cycle-bijection", 12, "polygon size n=12 exceeds the desk-scale guard 11;"),
-    ("cycle-closed-forms", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
-    ("greedy-optimality", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
-    ("p3-exact", 12, "brute-force host size n=12 exceeds the desk-scale guard 11;"),
-])
-def test_suite_guard_fires_before_the_first_host(monkeypatch, suite, max_n, guard):
+@pytest.mark.parametrize("suite", ["cycle-bijection", "cycle-closed-forms",
+                                   "greedy-optimality", "p3-exact"])
+def test_suite_guard_fires_before_the_first_host(monkeypatch, suite):
     def spy(n, *args, **kwargs):
         raise AssertionError(f"{suite} enumerated hosts at n={n}")
 
@@ -193,12 +189,13 @@ def test_suite_guard_fires_before_the_first_host(monkeypatch, suite, max_n, guar
     monkeypatch.setattr(extremal_search, "_orbit_keys", spy)
     with pytest.raises(AssertionError, match="enumerated hosts"):
         verify_suite(suite, max_n=5)  # the spies sit on the suite's route
-    with pytest.raises(ScaleLimitError, match=guard) as err:
-        verify_suite(suite, max_n=max_n)
+    with pytest.raises(ScaleLimitError) as err:
+        verify_suite(suite, max_n=12)
     # verify_suite takes no limit, so its hint must not offer limit=None;
     # args[0], which the CLI prints, keeps only the reason
-    assert err.value.args[0] == guard[:-1]
-    assert str(err.value) == f"{guard} lower the value (verify_suite takes no limit)"
+    guard = f"suite {suite!r} parameter max_n=12 exceeds the desk-scale guard 11"
+    assert err.value.args[0] == guard
+    assert str(err.value) == f"{guard}; lower the value (verify_suite takes no limit)"
 
 
 def test_fixed_endpoint_guard_fires_before_a_bounds_table(monkeypatch):
@@ -209,11 +206,11 @@ def test_fixed_endpoint_guard_fires_before_a_bounds_table(monkeypatch):
         return real(k_max)
 
     monkeypatch.setattr(exactmath, "path_count_bounds", small_only)
-    guard = "fixed-endpoint host size n=11 exceeds the desk-scale guard 10"
+    guard = "suite 'bounds-4k' parameter max_n_paths=1000000 exceeds the desk-scale guard 10"
     with pytest.raises(ScaleLimitError) as err:
         verify_suite("bounds-4k", max_k_f=10, max_n_paths=10**6)
     assert err.value.args[0] == guard
-    # the fixed-endpoint case does not read the max_k_f table
+    # one table serves both cases: here it runs to the fixed-endpoint hosts' k = 9
     assert verify_suite("bounds-4k", max_k_f=5).passed
 
 
@@ -355,8 +352,8 @@ def test_suite_loops_over_ranges_and_reports_their_tops(monkeypatch):
         seen.append(params)
         return [extremal_search.CaseResult("spy", 0, 0, True)]
 
-    defaults = extremal_search._SUITES["bounds-4k"][1]
-    monkeypatch.setitem(extremal_search._SUITES, "bounds-4k", (spy, defaults))
+    _, defaults, tops = extremal_search._SUITES["bounds-4k"]
+    monkeypatch.setitem(extremal_search._SUITES, "bounds-4k", (spy, defaults, tops))
     report = verify_suite("bounds-4k", max_n_paths=4, gamma_ks=[16])
     assert seen == [{"max_k_f": range(0, 31), "max_n_paths": range(3, 5),
                      "max_k_density": range(1, 61), "gamma_ks": [16]}]
@@ -370,6 +367,47 @@ def test_suite_loops_over_ranges_and_reports_their_tops(monkeypatch):
         assert str(err.value) == (f"suite 'bounds-4k' runs no cases with "
                                   f"{key}={value!r}: {message}")
     assert len(seen) == 1
+
+
+def _int_tops():
+    return [(suite, key, top) for suite, (_, _, tops) in sorted(extremal_search._SUITES.items())
+            for key, top in sorted(tops.items())]
+
+
+@pytest.mark.parametrize("suite,key,top", _int_tops())
+def test_suite_tops_are_checked_before_the_suite_runs(monkeypatch, suite, key, top):
+    seen = []
+
+    def spy(params, jobs):
+        seen.append(params[key])
+        return [extremal_search.CaseResult("spy", 0, 0, True)]
+
+    _, defaults, tops = extremal_search._SUITES[suite]
+    monkeypatch.setitem(extremal_search._SUITES, suite, (spy, defaults, tops))
+    default = defaults[key]
+    assert (default[-1] if isinstance(default, range) else default) <= top
+    with pytest.raises(ScaleLimitError) as err:
+        verify_suite(suite, **{key: top + 1})
+    assert err.value.args[0] == (f"suite {suite!r} parameter {key}={top + 1} "
+                                 f"exceeds the desk-scale guard {top}")
+    assert seen == []
+    report = verify_suite(suite, **{key: top})
+    assert seen == [range(default.start, top + 1) if isinstance(default, range) else top]
+    assert report.params[key] == top
+
+
+def test_every_int_parameter_has_a_top():
+    for suite, (_, defaults, tops) in extremal_search._SUITES.items():
+        ints = {key for key, d in defaults.items() if isinstance(d, (range, int))}
+        assert set(tops) == ints, suite
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (6, 7), (12, 13)])
+def test_triple_fan_suite_names_the_values_it_refuses(n, k):
+    with pytest.raises(ValueError) as err:
+        verify_suite("triple-fan-beats-fan", n=n, k=k)
+    assert str(err.value) == (f"suite 'triple-fan-beats-fan' needs n >= k >= 4, "
+                              f"got n={n}, k={k}")
 
 
 # sha256 of each suite's default report, to_text() followed by the JSON of
