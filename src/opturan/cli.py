@@ -26,6 +26,7 @@ __all__ = ["run", "main", "OUTPUT_SCHEMA"]
 
 SCHEDULE_COUNT_LIMIT = 10**6  # schedules `gamma --enumerate` or `inject --all-seqs` may list
 GAMMA_DP_LIMIT = 400_000  # L*t for `gamma`'s count, whose slowest admitted pair takes ~1 s
+C_TABLE_K_LIMIT = 400  # `c-table --max-k`: the profile recursion takes ~3 s at 400, ~8 s at 500
 
 
 OUTPUT_SCHEMA = {
@@ -216,6 +217,8 @@ def _cmd_c_table(args) -> int:
     if args.max_k < 3:
         print(f"c-table: --max-k must be >= 3, got {args.max_k}", file=sys.stderr)
         return 2
+    check_limit(args.max_k, _unsafe_scale(args, "table-size").get("limit", C_TABLE_K_LIMIT),
+                "density table size max_k")
     ks = list(range(3, args.max_k + 1))
     values = [exactmath.cycle_density(k) for k in ks]
 
@@ -421,6 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c-table", help="exact cycle-density table")
     p.add_argument("--max-k", type=int, default=12)
+    p.add_argument("--unsafe-scale", action="store_true")
     add_format(p, "json", "csv")
     p.set_defaults(func=_cmd_c_table)
 

@@ -111,54 +111,61 @@ class ExtremalResult:
         }
 
 
-def _scan(patterns: tuple[Pattern, ...], hosts: Iterable[Mop]) -> list[tuple[int, list]]:
+def _scan(patterns: tuple[Pattern, ...], hosts: Iterable[Mop],
+          canon: bool) -> list[tuple[int, list | set]]:
     """Each pattern's largest count over the hosts, with the sorted chord
-    tuples of the hosts attaining it."""
+    tuples of the hosts attaining it: a list, or with canon the set of
+    their `canonical_chords`, one per orbit.  A host's tuple is built, at
+    most once, only when it ties or beats some pattern's running maximum."""
+    kind, add = (set, set.add) if canon else (list, list.append)
     best = [-1] * len(patterns)
-    arg: list[list] = [[] for _ in patterns]
+    arg = [kind() for _ in patterns]
     for mop in hosts:
-        chords = tuple(mop.sorted_chords())
+        chords = None
         for i, c in enumerate(count_patterns(mop.graph, patterns)):
+            if c < best[i]:
+                continue
+            if chords is None:
+                chords = (canonical_chords(mop.n, mop.chords) if canon
+                          else tuple(mop.sorted_chords()))
             if c > best[i]:
-                best[i] = c
-                arg[i] = [chords]
-            elif c == best[i]:
-                arg[i].append(chords)
+                best[i], arg[i] = c, kind()
+            add(arg[i], chords)
     return list(zip(best, arg))
 
 
-def _scan_hosts(n: int, patterns: tuple[Pattern, ...],
-                first_apex: int | None) -> list[tuple[int, list]]:
-    return _scan(patterns, enumerate_mops(n, limit=None, first_apex=first_apex))
+def _scan_share(n: int, patterns: tuple[Pattern, ...], orbits: bool, share,
+                canon: bool) -> list[tuple[int, list | set]]:
+    """`_scan` over one worker's share: orbit keys, or the apex of the
+    labelled hosts' triangle on the side (0, n-1) (None for every host)."""
+    hosts = ((Mop(n, frozenset(_decode(n, key))) for key in share) if orbits
+             else enumerate_mops(n, limit=None, first_apex=share))
+    return _scan(patterns, hosts, canon)
 
 
-def _scan_orbits(n: int, patterns: tuple[Pattern, ...],
-                 keys: list[tuple[int, ...]]) -> list[tuple[int, list]]:
-    return _scan(patterns, (Mop(n, frozenset(_decode(n, key))) for key in keys))
-
-
-def _scan_all(n: int, patterns: tuple[Pattern, ...], orbits: bool,
-              jobs: int) -> list[tuple[int, list]]:
+def _scan_all(n: int, patterns: tuple[Pattern, ...], orbits: bool, canon: bool,
+              jobs: int) -> list[tuple[int, list | set]]:
     """`_scan` over one host per orbit or over every labelled host, split
     across `jobs` workers: the orbit keys round-robin, the labelled hosts
     by the apex of their triangle on the side (0, n-1)."""
     if orbits:
         keys = _orbit_keys(n)
-        scan, shares = _scan_orbits, [keys[j::jobs] for j in range(min(jobs, len(keys)))]
+        shares = [keys[j::jobs] for j in range(min(jobs, len(keys)))]
     else:
-        scan, shares = _scan_hosts, [None] if jobs <= 1 or n < 4 else range(1, n - 1)
+        shares = [None] if jobs <= 1 or n < 4 else range(1, n - 1)
     if len(shares) == 1:
-        return scan(n, patterns, shares[0])
+        return _scan_share(n, patterns, orbits, shares[0], canon)
     with multiprocessing.Pool(min(jobs, len(shares))) as pool:
-        parts = pool.starmap(scan, [(n, patterns, share) for share in shares])
-    merged: list[tuple[int, list]] = [(-1, []) for _ in patterns]
-    for part in parts:  # the share order keeps the merge deterministic
+        parts = pool.starmap(_scan_share,
+                             [(n, patterns, orbits, share, canon) for share in shares])
+    extend = set.update if canon else list.extend
+    merged = parts[0]
+    for part in parts[1:]:  # the share order keeps the merge deterministic
         for i, (b, a) in enumerate(part):
-            mb, ma = merged[i]
-            if b > mb:
-                merged[i] = (b, list(a))
-            elif b == mb:
-                ma.extend(a)
+            if b > merged[i][0]:
+                merged[i] = (b, a)
+            elif b == merged[i][0]:
+                extend(merged[i][1], a)
     return merged
 
 
@@ -174,9 +181,14 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
     expands to its distinct dihedral images, which is the sorted list of
     every labelled maximizer.
 
-    An all-cycle sweep still counts every labelled host and canonicalises
-    each labelled maximizer once, because perfbench's tests pin one
-    `cycle_histogram` and one `Mop.graph` call per labelled host.
+    An all-cycle sweep still counts every labelled host, because
+    perfbench's tests pin one `cycle_histogram` and one `Mop.graph` call
+    per labelled host.  With dedup the scan itself canonicalises a host,
+    once, when it ties or beats some pattern's running maximum, and keeps
+    one set of canonical chord tuples per pattern (in each `jobs` worker,
+    then their union).  So the sweep holds at most one tuple per orbit
+    and pattern, never a labelled maximizer past its host, and its memory
+    grows with the orbits, not with the catalan(n-2) hosts.
 
     limit=0 picks the guard matching the pattern kinds; None disables it.
     """
@@ -189,17 +201,13 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
         p.automorphisms
     orbits = any(p.kind != "cycle" for p in patterns)
     results = []
-    canon: dict[tuple, tuple] = {}  # each labelled maximizer canonicalised once
-    for pattern, (best, argmax) in zip(patterns, _scan_all(n, patterns, orbits, jobs)):
+    for pattern, (best, argmax) in zip(
+            patterns, _scan_all(n, patterns, orbits, dedup and not orbits, jobs)):
         if orbits and not dedup:
             argmax = [image for chords in argmax for image in _dihedral_images(n, chords)]
-        elif dedup and not orbits:
-            for chords in set(argmax) - canon.keys():
-                canon[chords] = canonical_chords(n, chords)
-            argmax = [canon[chords] for chords in argmax]
-        reps = sorted(set(argmax))
+        # every route yields distinct tuples: hosts, orbits and images are disjoint
         results.append(ExtremalResult(n=n, pattern=pattern, maximum=best,
-                                      maximizers=tuple(reps), deduped=dedup))
+                                      maximizers=tuple(sorted(argmax)), deduped=dedup))
     return results
 
 
@@ -639,20 +647,25 @@ def _suite_star_blowup(params, jobs):
 
 
 def _suite_constructions(params, jobs):
-    fan_bases = params["max_n_base"]
+    widths, fan_bases = params["max_t"], params["max_n_base"]
+    family = [(base, width) for width in widths for base in range(2, fan_bases[-1] + 1)
+              if base**width >= 3]
+    # a top bounds one parameter, so bound the vertices of every host built
+    # (the family, each width-1 host and its fan, N4-t2) before the first
+    total = sum(base**width for base, width in family) + 2 * sum(fan_bases) + 16
+    check_limit(total, numeral_paths.NUMERAL_VERTEX_LIMIT,
+                f"suite 'constructions' hosts for max_t={widths[-1]}, "
+                f"max_n_base={fan_bases[-1]}: vertex total")
     cases = []
-    for width in params["max_t"]:
-        for base in range(2, fan_bases[-1] + 1):
-            if base**width < 3:
-                continue
-            host = numeral_paths.numeral_graph(base, width)
-            n = host.n
-            edge_count = host.graph.edge_count()
-            cases.append(CaseResult(
-                f"N{base}-t{width}-triangulation", 2 * n - 3, edge_count,
-                edge_count == 2 * n - 3,
-                detail="construction already validated as polygon + chords",
-            ))
+    for base, width in family:
+        host = numeral_paths.numeral_graph(base, width)
+        n = host.n
+        edge_count = host.graph.edge_count()
+        cases.append(CaseResult(
+            f"N{base}-t{width}-triangulation", 2 * n - 3, edge_count,
+            edge_count == 2 * n - 3,
+            detail="construction already validated as polygon + chords",
+        ))
     mismatched = [base for base in fan_bases
                   if numeral_paths.numeral_graph(base, 1).graph.edges
                   != fan(base).graph.edges]

@@ -517,7 +517,9 @@ def _increasing_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int,
     close.  Only vertices reached within top-1 edges are touched.  A
     popped vertex is never a target again, so its counts are dropped (and
     added to the total if it is a neighbour of s) when it is popped: only
-    the reached vertices not yet popped hold counts.
+    the reached vertices not yet popped hold counts.  The counts and the
+    neighbour marks sit in two vertex-indexed lists made once per call:
+    a popped vertex's count goes back to 0, and a mark names its s.
 
     Packing: one int holds a vertex's path counts, field e (`width` bits)
     the e-edge paths, and only fields e < top are kept.  An increasing
@@ -536,29 +538,32 @@ def _increasing_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int,
     edge = 1 << width  # one path of one edge
     up = [a[bisect_right(a, v):] for v, a in enumerate(g._adj)]
     total = 0
+    paths = [0] * n  # nonzero exactly at the reached, unpopped vertices
+    closes = [-1] * n  # closes[v] == s: v is a neighbour of s
     for s in range(n - 2):
         ends = up[s]
         if len(ends) < 2:
             continue
         far = ends[-1]
-        closing = set(ends)
-        paths = dict.fromkeys(ends, edge)
+        for v in ends:
+            paths[v] = edge
+            closes[v] = s
         heap = list(ends)  # sorted, so already a heap
         while heap:
             v = heappop(heap)
-            c = paths.pop(v)
-            if v in closing:
+            c = paths[v]
+            paths[v] = 0
+            if closes[v] == s:
                 total += c
             step = (c << width) & keep
             if step:
                 for u in up[v]:
                     if u > far:
                         break
-                    if u in paths:
-                        paths[u] += step
-                    else:
-                        paths[u] = step
+                    p = paths[u]
+                    if not p:
                         heappush(heap, u)
+                    paths[u] = p + step
     mask = edge - 1
     hist = {}
     for e in range(2, top):

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opturan import cli, extremal_search, graph_core, numeral_paths
+from opturan import cli, exactmath, extremal_search, graph_core, numeral_paths
 from opturan.cli import OUTPUT_SCHEMA, run
 
 # stdout of `gen` for three constructions in every format, keyed by argv,
@@ -85,6 +85,32 @@ def test_c_table_csv(capture):
 def test_rational_text(value, text):
     # a decimal only for a dyadic value; any other den prints as num/den
     assert cli._rational_text(value) == text
+
+
+def test_c_table_max_k_guard(capture, monkeypatch):
+    # past the top no density is computed; should the guard be missing,
+    # the density fails the test instead of running the table
+    real_density, limit = exactmath.cycle_density, cli.C_TABLE_K_LIMIT
+
+    def small_only(k):
+        if k > limit:
+            raise AssertionError("c-table computed a density past the guard")
+        return real_density(k)
+
+    monkeypatch.setattr(exactmath, "cycle_density", small_only)
+    assert limit == 400
+    for fmt in ("text", "csv", "json"):
+        code, out, err = capture("c-table", "--max-k", "401", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("c-table: density table size max_k=401 exceeds the desk-scale guard "
+                       "400; pass limit=None (CLI: --unsafe-scale) to override\n")
+    # --unsafe-scale lifts the guard, shown on a lowered one
+    monkeypatch.setattr(cli, "C_TABLE_K_LIMIT", 4)
+    code, out, err = capture("c-table", "--max-k", "5", "--format", "csv")
+    assert (code, out) == (2, "") and "max_k=5 exceeds the desk-scale guard 4" in err
+    code, out, err = capture("c-table", "--max-k", "5", "--format", "csv", "--unsafe-scale")
+    assert (code, out.splitlines()[-1]) == (0, "5,3,2")
+    assert err == "warning: --unsafe-scale lifts the table-size guard\n"
 
 
 def test_c_table_text_to_202_is_unchanged(capture):
@@ -558,16 +584,20 @@ def run_cli_subprocess(*argv):
     )
 
 
-def test_byte_identical_output_across_processes():
+def test_byte_identical_output_across_processes(capture):
+    # each child must succeed and print what this process prints: two
+    # children that fail alike (say, on an import) must not pass
     for argv in (
         ("c-table", "--max-k", "12", "--format", "json"),
         ("verify", "--suite", "gamma", "--max-l", "6", "--format", "json"),
         ("extremal", "-n", "7", "--pattern", "cycle:4", "--format", "json"),
     ):
-        first = run_cli_subprocess(*argv)
-        second = run_cli_subprocess(*argv)
-        assert first.stdout == second.stdout
-        assert first.returncode == second.returncode
+        code, out, _ = capture(*argv)
+        assert code == 0 and out
+        for _ in range(2):
+            child = run_cli_subprocess(*argv)
+            assert child.returncode == 0
+            assert child.stdout.decode() == out
 
 
 @pytest.mark.parametrize("argv,lines,code", [
@@ -627,6 +657,7 @@ _ALL_TOPS = [tops for _, _, tops in extremal_search._SUITES.values()]
 # one value past each int parameter's largest top, which every suite refuses
 PAST_TOPS = sorted({f"{key}={max(t.get(key, 0) for t in _ALL_TOPS) + 1}"
                     for tops in _ALL_TOPS for key in tops})
+PAST_C_TABLE = str(cli.C_TABLE_K_LIMIT + 1)  # c-table's --max-k, one past its top
 
 
 @pytest.fixture(scope="module")
@@ -682,7 +713,10 @@ def _argv(files: Path):
     # injection has no size to lower and gamma's defaults take a second
     cheap_suites = [s for s in extremal_search.suite_names() if s not in ("injection", "gamma")]
     return st.one_of(
-        seq(st.just(["c-table"]), opt("--max-k", ints(-1, 30)), fmt),
+        # one past the top is drawn only without --unsafe-scale, so it meets the guard
+        seq(st.just(["c-table"]), st.one_of(
+            seq(opt("--max-k", ints(-1, 30)), flag("--unsafe-scale")),
+            st.just(["--max-k", PAST_C_TABLE])), fmt),
         seq(st.just(["subtrees"]), req("--tree", file), opt("-k", ints(-1, 8)), fmt),
         seq(st.just(["greedy"]), req("-d", ints(-1, 4)), req("-n", ints(-1, 30)), fmt),
         seq(st.just(["gen"]), st.lists(construction, max_size=2).map(lambda cs: sum(cs, [])),
@@ -714,3 +748,4 @@ def test_exit_code_contract(argv_dir, data):
     assert code != 2 or out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
     assert code == 2 or not set(argv) & set(PAST_TOPS)
+    assert code == 2 or argv[:1] != ["c-table"] or PAST_C_TABLE not in argv

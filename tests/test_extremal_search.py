@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from math import comb
 
 import jsonschema
@@ -25,6 +26,7 @@ from opturan.extremal_search import (
 from opturan.graph_core import (
     Mop,
     canonical_chords,
+    count_cycles,
     count_patterns,
     cycle_histogram,
     enumerate_mop_orbits,
@@ -122,8 +124,46 @@ def test_brute_force_tree_pattern_against_direct_scan():
 
 def test_mixed_and_parallel_sweeps_match_labelled_scan():
     mixed = [Pattern.cycle(3), Pattern.path(2), Pattern.cycle(6), K13, Pattern.path(5)]
-    assert_sweep_matches_labelled_scan(8, mixed)
-    assert_sweep_matches_labelled_scan(8, mixed, jobs=2)
+    cycles = [Pattern.cycle(k) for k in range(3, 9)]  # the labelled-host route
+    for patterns in (mixed, cycles):
+        assert_sweep_matches_labelled_scan(8, patterns)
+        assert_sweep_matches_labelled_scan(8, patterns, jobs=2)
+
+
+def test_deduped_cycle_sweep_holds_one_tuple_per_orbit():
+    # C3 and C4 tie at all 4862 hosts; keeping each labelled maximizer and
+    # a canonical copy until the sweep ended took 4.3 MB here
+    patterns = [Pattern.cycle(k) for k in range(3, 12)]
+    brute_force_many(6, patterns[:4])  # imports and lazy state before the trace
+    tracemalloc.start()
+    try:
+        results = brute_force_many(11, patterns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(r.maximizers) for r in results[:2]] == [228, 228]
+    assert peak < 2**20
+
+
+def test_sweep_canonicalises_only_hosts_at_the_running_maximum(monkeypatch):
+    calls = []
+
+    def counting(n, chords):
+        calls.append(frozenset(chords))
+        return canonical_chords(n, chords)
+
+    monkeypatch.setattr(extremal_search, "canonical_chords", counting)
+    result = brute_force_maximum(9, Pattern.cycle(5))
+    # the same stream, in the same order: hosts that tie or beat the maximum so far
+    best, reaching, hosts = -1, 0, 0
+    for mop in enumerate_mops(9):
+        c = count_cycles(mop.graph, 5)
+        hosts += 1
+        if c >= best:
+            best, reaching = c, reaching + 1
+    assert result.maximum == best
+    assert len(calls) == len(set(calls))  # no host twice
+    assert len(result.maximizers) <= len(calls) <= reaching < hosts
 
 
 def test_sweep_counts_paths_per_orbit_and_cycles_per_host(monkeypatch):
@@ -235,6 +275,25 @@ def test_dedup_canonicalises_each_maximizer_once(monkeypatch):
     calls.clear()
     assert verify_suite("greedy-optimality", max_n=7).passed
     assert calls == []
+
+
+def test_constructions_bounds_its_hosts_together(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def no_host(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(numeral_paths, "numeral_graph", no_host)
+    # each top alone passes the bound and reaches the first host ...
+    for top in ({"max_t": 5}, {"max_n_base": 40}):
+        with pytest.raises(Built):
+            verify_suite("constructions", **top)
+    # ... both together are refused before it
+    with pytest.raises(ScaleLimitError) as err:
+        verify_suite("constructions", max_t=5, max_n_base=40)
+    assert err.value.args[0] == ("suite 'constructions' hosts for max_t=5, max_n_base=40: "
+                                 "vertex total=757411535 exceeds the desk-scale guard 1000000")
 
 
 # ---------------------------------------------------------------------------
