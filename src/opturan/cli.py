@@ -17,7 +17,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
+from collections.abc import Iterator
+from functools import partial
+from itertools import chain, islice
 
 from . import exactmath, extremal_search, graph_core, numeral_paths, tree_engine
 from .guards import ScaleLimitError, check_limit
@@ -27,6 +29,7 @@ __all__ = ["run", "main", "OUTPUT_SCHEMA"]
 SCHEDULE_COUNT_LIMIT = 10**6  # schedules `gamma --enumerate` or `inject --all-seqs` may list
 GAMMA_DP_LIMIT = 400_000  # L*t for `gamma`'s count, whose slowest admitted pair takes ~1 s
 C_TABLE_K_LIMIT = 400  # `c-table --max-k`: the profile recursion takes ~3 s at 400, ~8 s at 500
+JSON_SLICE = 256  # elements of a JSON list written by one json.dumps
 
 
 OUTPUT_SCHEMA = {
@@ -165,11 +168,15 @@ OUTPUT_SCHEMA = {
 def _emit(args, params: dict, **formats) -> int:
     """Write a command's answer to stdout, the only writer of stdout here.
     formats maps each format offered to a thunk; only args.format's runs.
-    json's returns the result for the one-line envelope; every other's
-    yields newline-terminated text, each piece written as it is produced.
-    A reader that closes stdout early stops the output quietly.  Exact
-    ints print in full, however many digits they have: Python's limit on
-    int-to-text conversion is lifted while this writes."""
+    json's returns the result for the one-line envelope, which
+    `_json_pieces` writes a slice of each long list at a time; every
+    other's yields newline-terminated text, each piece written as it is
+    produced.  No text goes out before the answer's first element is
+    computed (`_json_pieces` holds the envelope's until then), so an
+    answer that fails on it leaves stdout empty.  A reader that closes
+    stdout early stops the output quietly.  Exact ints print in full,
+    however many digits they have: Python's limit on int-to-text
+    conversion is lifted while this writes."""
     produce = formats[args.format]
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
@@ -177,7 +184,7 @@ def _emit(args, params: dict, **formats) -> int:
     try:
         if args.format == "json":
             envelope = {"command": args.command, "params": params, "result": produce()}
-            print(json.dumps(envelope, separators=(", ", ": ")))
+            sys.stdout.writelines(chain(_json_pieces(envelope), ["\n"]))
         else:
             sys.stdout.writelines(produce())
         sys.stdout.flush()
@@ -190,6 +197,48 @@ def _emit(args, params: dict, **formats) -> int:
     finally:
         set_digits(digits)
     return 0
+
+
+def _listed(value):
+    """json.dumps' fallback: an iterator inside a slice is written as a list."""
+    if isinstance(value, Iterator):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_dumps = partial(json.dumps, separators=(", ", ": "), default=_listed)
+
+
+def _json_pieces(value) -> Iterator[str]:
+    """The text of json.dumps(value, separators=(", ", ": ")), in pieces
+    that join to it.  Dicts are walked; each list, tuple or iterator is
+    written JSON_SLICE elements at a time, each slice by one json.dumps;
+    anything else by one json.dumps whole.  Text is held until a slice is
+    computed and goes out with it, so the first piece holds the first
+    slice of the first sequence."""
+    rest = yield from _json_walk(value, "")
+    yield rest
+
+
+def _json_walk(value, head: str):
+    """Yield value's text in pieces, head first, each piece ending in a
+    computed slice; return the text after the last slice, not yet yielded."""
+    if isinstance(value, dict):
+        head += "{"
+        for i, (key, item) in enumerate(value.items()):
+            # the key as json.dumps writes it (1 and None become strings) and ": "
+            name = _dumps({key: 0})[1:-2]
+            head = yield from _json_walk(item, head + (", " if i else "") + name)
+        return head + "}"
+    if isinstance(value, (list, tuple, Iterator)):
+        items = iter(value)
+        head += "["
+        sep = ""
+        while chunk := list(islice(items, JSON_SLICE)):
+            yield head + sep + _dumps(chunk)[1:-1]
+            head, sep = "", ", "
+        return head + "]"
+    return head + _dumps(value)
 
 
 def _rational_text(value: Fraction) -> str:
@@ -286,10 +335,12 @@ def _cmd_gen(args) -> int:
         mop = numeral_paths.numeral_graph(
             base, width, **_unsafe_scale(args, "vertex-count"))
         params = {"numeral": [base, width]}
-    # only text and DOT build the graph; json writes the sorted chord
-    # tuples exactly as it would write to_json_obj's lists
-    return _emit(args, params, text=lambda: [graph_core.format_edge_list(mop.graph)],
-                 dot=lambda: [graph_core.graph_to_dot(mop.graph)],
+    # no format builds the graph: text and DOT write the host's sorted
+    # edges line by line, and json writes the sorted chord tuples exactly
+    # as it would write to_json_obj's lists
+    return _emit(args, params,
+                 text=lambda: graph_core._edge_list_lines(mop.n, mop.sorted_edges()),
+                 dot=lambda: graph_core._dot_lines(mop.n, mop.sorted_edges()),
                  json=lambda: {"n": mop.n, "chords": mop.sorted_chords()})
 
 
@@ -339,7 +390,7 @@ def _cmd_gamma(args) -> int:
                  text=lambda: (json.dumps(list(s)) + "\n" for s in schedules),
                  csv=lambda: chain(["schedule\n"],
                                    (" ".join(map(str, s)) + "\n" for s in schedules)),
-                 json=lambda: {"count": count, "schedules": [list(s) for s in schedules]})
+                 json=lambda: {"count": count, "schedules": schedules})
 
 
 def _cmd_inject(args) -> int:
@@ -357,7 +408,7 @@ def _cmd_inject(args) -> int:
     params = {"N": args.N, "t": args.t, "k": args.k, "A": args.A, "B": args.B,
               "all_seqs": bool(args.all_seqs)}
     return _emit(args, params, text=lambda: (" ".join(map(str, p)) + "\n" for p in paths),
-                 json=lambda: {"paths": list(paths)})
+                 json=lambda: {"paths": paths})
 
 
 def _cmd_extremal(args) -> int:

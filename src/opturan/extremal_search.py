@@ -71,6 +71,7 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 11       # host size for cycle/path sweeps
 BRUTE_FORCE_TREE_LIMIT = 9   # host size for generic tree patterns
 FIXED_ENDPOINT_LIMIT = 10    # host size for fixed-endpoint path maxima
+GAMMA_SUITE_SCHEDULE_LIMIT = 4_000_000  # schedules the gamma suite lists in all
 
 
 class NotCovered:
@@ -524,14 +525,22 @@ def _suite_triple_fan_beats_fan(params, jobs):
 
 
 def _suite_gamma(params, jobs):
+    widths, lengths, products = params["max_t"], params["max_l"], params["max_l_products"]
+    # a top bounds one parameter, so bound the schedules of every
+    # enumeration below together before the first
+    total = (sum(numeral_paths.count_schedules(length, t) for t in widths for length in lengths)
+             + sum(numeral_paths.count_schedules(length, length + 1) for length in products))
+    check_limit(total, GAMMA_SUITE_SCHEDULE_LIMIT,
+                f"suite 'gamma' enumerations for max_l={lengths[-1]}, max_t={widths[-1]}, "
+                f"max_l_products={products[-1]}: schedule total")
     cases = []
-    for t in params["max_t"]:
-        for length in params["max_l"]:
+    for t in widths:
+        for length in lengths:
             expected = numeral_paths.count_schedules(length, t)
             actual = sum(1 for _ in numeral_paths.enumerate_schedules(length, t))
             cases.append(CaseResult(f"count-vs-enumeration-L{length}-t{t}",
                                     expected, actual, expected == actual))
-    for length in params["max_l_products"]:
+    for length in products:
         buckets: dict[tuple, int] = {}
         top = 0
         for sched in numeral_paths.enumerate_schedules(length, length + 1):
@@ -546,7 +555,7 @@ def _suite_gamma(params, jobs):
         cases.append(CaseResult(f"multiplicity-products-L{length}", 0, mismatches,
                                 mismatches == 0,
                                 detail=f"{len(buckets)} multiplicity vectors"))
-    for length in params["max_l"]:
+    for length in lengths:
         expected = catalan(length)
         width = max(length + 1, 2)  # smallest width whose cap is inactive
         actual = numeral_paths.count_schedules(length, width)

@@ -25,7 +25,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from heapq import heappop, heappush
+from heapq import heappop, heappush, merge
 from itertools import chain, islice
 from math import comb
 from typing import Iterable, Iterator
@@ -292,6 +292,12 @@ class Mop:
 
     def sorted_chords(self) -> list[tuple[int, int]]:
         return sorted(self.chords)
+
+    def sorted_edges(self) -> Iterator[tuple[int, int]]:
+        """The 2n-3 edges of the host's graph in sorted order, merged from
+        the sides and the sorted chords without building the graph."""
+        n = self.n
+        return merge(zip(range(n - 1), range(1, n)), [(0, n - 1)], self.sorted_chords())
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "chords": [list(c) for c in self.sorted_chords()]}
@@ -980,14 +986,27 @@ def _line_ints(i: int, line: str, count: int, want: str) -> tuple[int, ...]:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    return "".join(_edge_list_lines(g.n, sorted(g.edges)))
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    lines.extend(f"  {v};" for v in range(g.n))
-    lines.extend(f"  {u} -- {v};" for u, v in sorted(g.edges))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_lines(g.n, sorted(g.edges), name))
+
+
+def _edge_list_lines(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The edge-list text of a graph on n vertices, given its sorted
+    edges, line by line."""
+    yield f"{n}\n"
+    for u, v in edges:
+        yield f"{u} {v}\n"
+
+
+def _dot_lines(n: int, edges: Iterable[tuple[int, int]], name: str = "G") -> Iterator[str]:
+    """The DOT text of a graph on n vertices, given its sorted edges, line
+    by line."""
+    yield f"graph {name} {{\n"
+    for v in range(n):
+        yield f"  {v};\n"
+    for u, v in edges:
+        yield f"  {u} -- {v};\n"
+    yield "}\n"

@@ -7,9 +7,11 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -150,6 +152,17 @@ def test_cli_stdout_is_unchanged(capture, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = capture(*argv.split())
     assert {"exit": code, "stdout": out, "stderr": err} == CLI_STDOUT["runs"][argv]
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot"])
+def test_gen_text_and_dot_build_no_graph(capture, monkeypatch, fmt):
+    # the lines come from the host's sides and sorted chords
+    def no_graph(*args):
+        raise AssertionError("gen built the host's graph")
+
+    monkeypatch.setattr(graph_core, "_mop_graph", no_graph)
+    argv = f"gen --numeral 3 3 --format {fmt}"
+    assert capture(*argv.split()) == (0, GEN_STDOUT[argv], "")
 
 
 def test_gen_json_builds_no_graph(capture):
@@ -451,6 +464,112 @@ def test_inject_all_seqs_count_guard(capture, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# JSON in pieces
+# ---------------------------------------------------------------------------
+
+class Lazy(tuple):
+    """A drawn list that the encoder is handed as an iterator."""
+
+
+def _plain(value):
+    """value as json.dumps takes it: every Lazy a list."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, Lazy):
+        return [_plain(item) for item in value]
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    return value
+
+
+def _lazy(value):
+    """value as the CLI hands it over: every Lazy an iterator."""
+    if isinstance(value, dict):
+        return {key: _lazy(item) for key, item in value.items()}
+    if isinstance(value, Lazy):
+        return iter([_lazy(item) for item in value])
+    if isinstance(value, (list, tuple)):
+        return type(value)(_lazy(item) for item in value)
+    return value
+
+
+_JSON_LEAVES = st.one_of(
+    st.integers(), st.text(), st.booleans(), st.none(),
+    # ints past Python's default limit of 4300 digits for int-to-text
+    st.integers(4300, 4400).map(lambda d: -(10**d) + 7))
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=7),
+    st.lists(inner, max_size=7).map(tuple),
+    st.lists(inner, max_size=7).map(Lazy),
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans(), st.none()), inner,
+                    max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES, size=st.integers(1, 3))
+def test_json_pieces_join_to_json_dumps(value, size):
+    # slices of 1-3 elements meet empty lists, single slices and lists
+    # that end on a slice boundary
+    get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    outer = get_digits()
+    set_digits(0)
+    try:
+        with mock.patch.object(cli, "JSON_SLICE", size):
+            pieces = list(cli._json_pieces(_lazy(value)))
+        assert "".join(pieces) == json.dumps(_plain(value), separators=(", ", ": "))
+    finally:
+        set_digits(outer)
+
+
+def test_json_pieces_wait_for_the_first_slice():
+    # the envelope's text rides with the first slice, and a slice holds
+    # JSON_SLICE elements
+    size = cli.JSON_SLICE
+    taken = []
+
+    def schedules():
+        for i in range(2 * size + 1):
+            taken.append(i)
+            yield (0, i)
+
+    envelope = {"command": "gamma", "params": {"L": 2},
+                "result": {"count": 3, "schedules": schedules()}}
+    pieces = [(piece, len(taken)) for piece in cli._json_pieces(envelope)]
+    assert [count for _, count in pieces] == [size, 2 * size, 2 * size + 1, 2 * size + 1]
+    assert pieces[0][0].startswith('{"command": "gamma", "params": {"L": 2}, "result": '
+                                   '{"count": 3, "schedules": [[0, 0], [0, 1], ')
+    assert pieces[-1][0] == "]}}"
+
+
+@pytest.mark.parametrize("argv", [
+    # digits below k: the first path is refused
+    ("inject", "--N", "10", "--t", "2", "--k", "8", "--A", "99", "--B", "87", "--all-seqs"),
+    # past the schedule-count guard
+    ("gamma", "-L", "20", "-t", "21", "--enumerate"),
+])
+def test_streamed_json_fails_before_any_output(capture, argv):
+    code, out, err = capture(*argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == capture(*argv)[2] != ""
+
+
+def test_streamed_json_holds_one_slice_at_a_time():
+    # 14 041 schedules, 55 slices: 5.5 MB traced when the whole answer was
+    # built as one string, 0.46 MB in slices (and 0.53 MB for the 479 779
+    # at L = 13, which take 20 s traced)
+    argv = ["gamma", "-L", "10", "-t", "6", "--enumerate", "--format", "json"]
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # extremal and verify
 # ---------------------------------------------------------------------------
 
@@ -608,6 +727,8 @@ def test_byte_identical_output_across_processes(capture):
     (("gen", "--fan", "8", "--format", "json"), 0, 0),
     (("verify", "--suite", "triple-fan-beats-fan", "--param", "n=12",
       "--param", "k=4"), 0, 1),
+    # a JSON answer of many slices, which meets the closed pipe mid-stream
+    (("gamma", "-L", "12", "-t", "13", "--enumerate", "--format", "json"), 0, 0),
 ])
 def test_closed_stdout_ends_the_run_quietly(argv, lines, code):
     proc = subprocess.Popen([sys.executable, "-m", "opturan", *argv], env=CHILD_ENV,

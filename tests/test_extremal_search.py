@@ -296,6 +296,30 @@ def test_constructions_bounds_its_hosts_together(monkeypatch):
                                  "vertex total=757411535 exceeds the desk-scale guard 1000000")
 
 
+def test_gamma_bounds_its_schedules_together(monkeypatch):
+    class Listed(Exception):
+        pass
+
+    def no_listing(*args, **kwargs):
+        calls.append(args)
+        raise Listed
+
+    calls = []
+    monkeypatch.setattr(numeral_paths, "enumerate_schedules", no_listing)
+    # each top alone passes the bound and reaches the first enumeration ...
+    for top in ({"max_l": 13}, {"max_t": 16}, {"max_l_products": 12}):
+        with pytest.raises(Listed):
+            verify_suite("gamma", **top)
+    assert len(calls) == 3
+    # ... all three together are refused before it, from the exact total
+    with pytest.raises(ScaleLimitError) as err:
+        verify_suite("gamma", max_l=13, max_t=16, max_l_products=12)
+    assert err.value.args[0] == ("suite 'gamma' enumerations for max_l=13, max_t=16, "
+                                 "max_l_products=12: schedule total=11643063 exceeds the "
+                                 "desk-scale guard 4000000")
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------

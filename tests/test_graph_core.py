@@ -147,6 +147,11 @@ def test_mop_adjacent_matches_its_graph():
                 assert m.adjacent(u, v) == g.adjacent(u, v), (m, u, v)
 
 
+def test_mop_sorted_edges_are_its_graphs():
+    for m in [*enumerate_mops(7), triple_fan(12), fan(9), Mop(3), Mop(4, {(1, 3)})]:
+        assert list(m.sorted_edges()) == sorted(m.graph.edges)
+
+
 def test_mop_graph_shares_the_mops_chord_tuples():
     for m in [*enumerate_mops(7), triple_fan(12), fan(9)]:
         own = {c: c for c in m.chords}
