@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from collections.abc import Iterator
 from functools import partial
@@ -324,24 +325,29 @@ def _cmd_gen(args) -> int:
         print("gen: choose exactly one of --fan, --triple-fan, --numeral",
               file=sys.stderr)
         return 2
+    scale = _unsafe_scale(args, "vertex-count")
+    faults = nullcontext()
     if args.fan is not None:
-        mop = graph_core.fan(args.fan)
-        params = {"fan": args.fan}
+        n, params = args.fan, {"fan": args.fan}
+        chords = partial(graph_core._fan_chords, n, **scale)
     elif args.triple_fan is not None:
-        mop = graph_core.triple_fan(args.triple_fan)
-        params = {"triple_fan": args.triple_fan}
+        n, params = args.triple_fan, {"triple_fan": args.triple_fan}
+        chords = partial(graph_core._triple_fan_chords, n, **scale)
     else:
         base, width = args.numeral
-        mop = numeral_paths.numeral_graph(
-            base, width, **_unsafe_scale(args, "vertex-count"))
         params = {"numeral": [base, width]}
-    # no format builds the graph: text and DOT write the host's sorted
-    # edges line by line, and json writes the sorted chord tuples exactly
-    # as it would write to_json_obj's lists
+        n = numeral_paths._numeral_size(base, width, **scale)
+        chords = partial(numeral_paths._numeral_chords, base, width, n)
+        faults = numeral_paths._rule_faults(base, width)
+    # one pass checks every chord as Mop would, before the first byte; each
+    # format then writes from a second pass, and neither holds the host
+    with faults:
+        graph_core._check_sorted_chords(n, chords())
     return _emit(args, params,
-                 text=lambda: graph_core._edge_list_lines(mop.n, mop.sorted_edges()),
-                 dot=lambda: graph_core._dot_lines(mop.n, mop.sorted_edges()),
-                 json=lambda: {"n": mop.n, "chords": mop.sorted_chords()})
+                 text=lambda: graph_core._edge_list_lines(
+                     n, graph_core._sorted_edges(n, chords())),
+                 dot=lambda: graph_core._dot_lines(n, graph_core._sorted_edges(n, chords())),
+                 json=lambda: {"n": n, "chords": chords()})
 
 
 def _read_pattern(text: str) -> graph_core.Pattern:

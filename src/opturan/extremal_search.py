@@ -12,7 +12,6 @@ execution cannot perturb them.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import exactmath, numeral_paths
 from .exactmath import catalan, cycle_density, fixed_vertex_subtree_count
 from .graph_core import (
+    HOST_VERTEX_LIMIT,
     Mop,
     Pattern,
     Tree,
@@ -156,6 +156,8 @@ def _scan_all(n: int, patterns: tuple[Pattern, ...], orbits: bool, canon: bool,
         shares = [None] if jobs <= 1 or n < 4 else range(1, n - 1)
     if len(shares) == 1:
         return _scan_share(n, patterns, orbits, shares[0], canon)
+    import multiprocessing  # only here: importing it costs every other run ~7 ms
+
     with multiprocessing.Pool(min(jobs, len(shares))) as pool:
         parts = pool.starmap(_scan_share,
                              [(n, patterns, orbits, share, canon) for share in shares])
@@ -662,7 +664,7 @@ def _suite_constructions(params, jobs):
     # a top bounds one parameter, so bound the vertices of every host built
     # (the family, each width-1 host and its fan, N4-t2) before the first
     total = sum(base**width for base, width in family) + 2 * sum(fan_bases) + 16
-    check_limit(total, numeral_paths.NUMERAL_VERTEX_LIMIT,
+    check_limit(total, HOST_VERTEX_LIMIT,
                 f"suite 'constructions' hosts for max_t={widths[-1]}, "
                 f"max_n_base={fan_bases[-1]}: vertex total")
     cases = []

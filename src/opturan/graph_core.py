@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 MOP_ENUM_LIMIT = 16  # polygon size guard for exhaustive triangulation sweeps
+HOST_VERTEX_LIMIT = 10**6  # vertices of one named host: fan, triple fan, digit-rule graph
 
 
 class MopError(ValueError):
@@ -205,34 +206,87 @@ def _normalize_chord(n: int, pair) -> tuple[int, int]:
 
 def _first_crossing(chords: Iterable[tuple[int, int]]) -> tuple | None:
     """The first crossing pair of normalised chords (a < b) of the circle
-    labelled 0..n-1, as (open chord, chord crossing it), or None.
+    labelled 0..n-1, as (open chord, chord crossing it), or None: the
+    sweep `_sorted_crossing` over the chords sorted as they are, with no
+    key per chord.  O(m log m)."""
+    return _sorted_crossing(sorted(chords))
+
+
+def _sorted_crossing(order: Iterable[tuple[int, int]]) -> tuple | None:
+    """`_first_crossing` of chords that come in sorted order, consumed one
+    at a time; the sweep stops at the first crossing it finds.
 
     Laminarity sweep in (a, -b) order, so that chords sharing a left end
-    come outermost first.  The chord tuples are sorted as they are, with
-    no key per chord, and each run of one left end is walked from its
-    last chord back to its first.  The stack holds the open chords, each
-    nested in the one below it; chords whose right end is <= a are
-    closed.  A chord crosses the innermost open chord exactly when it
-    ends past that chord's right end.  Chords sharing an end and polygon
-    sides never cross.  O(m log m).
+    come outermost first: each run of one left end is held until the
+    next left end comes, then walked from its last chord back to its
+    first.  The stack holds the open chords, each nested in the one below
+    it; chords whose right end is <= a are closed.  A chord crosses the
+    innermost open chord exactly when it ends past that chord's right
+    end.  Chords sharing an end and polygon sides never cross.  O(m).
     """
-    order = sorted(chords)
     stack: list[tuple[int, int]] = []
-    start, m = 0, len(order)
-    while start < m:
-        a = order[start][0]
-        end = start + 1
-        while end < m and order[end][0] == a:
-            end += 1
-        while stack and stack[-1][1] <= a:
-            stack.pop()
-        for i in range(end - 1, start - 1, -1):
-            c = order[i]
-            if stack and c[1] > stack[-1][1]:
-                return stack[-1], c
-            stack.append(c)
-        start = end
+    run: list[tuple[int, int]] = []
+    for c in chain(order, [(-1, -1)]):  # the sentinel ends the last run
+        if run and c[0] != run[0][0]:
+            a = run[0][0]
+            while stack and stack[-1][1] <= a:
+                stack.pop()
+            for r in reversed(run):
+                if stack and r[1] > stack[-1][1]:
+                    return stack[-1], r
+                stack.append(r)
+            run = []
+        run.append(c)
     return None
+
+
+def _check_sorted_chords(n: int, chords: Iterable[tuple[int, int]]) -> None:
+    """Raise the MopError subclass and message that `Mop(n, chords)` would
+    raise, reading the chords once, in turn, and holding only the sweep's
+    run and open chords, never the host.
+
+    The chords must come as `Mop` keeps them, normal tuples (a, b), a < b,
+    and in sorted order, each once: a chord written otherwise, or one not
+    above the chord before it, is refused too (a repeat as the
+    DuplicateChord `Mop` raises).  The crossing sweep is
+    `_sorted_crossing`, so a crossing is named as `Mop` names it.
+    """
+    if n < 3:
+        raise MopError(f"polygon needs at least 3 vertices, got {n}")
+    count = 0
+
+    def checked():
+        nonlocal count
+        prev = (-1, -1)
+        for pair in chords:
+            if _normalize_chord(n, pair) is not pair:
+                raise InvalidChord(f"chord {pair} is not a tuple (a, b) with a < b")
+            if pair <= prev:
+                if pair == prev:
+                    raise DuplicateChord(f"chord {pair} given twice")
+                raise MopError(f"chord {pair} comes after {prev}, out of sorted order")
+            prev = pair
+            count += 1
+            yield pair
+
+    crossing = _sorted_crossing(checked())
+    _check_sweep(n, crossing, count)
+
+
+def _check_sweep(n: int, crossing: tuple | None, count: int) -> None:
+    """The last two checks on a chord set of the n-gon, after the crossing
+    sweep: no crossing pair, and n-3 chords."""
+    if crossing:
+        raise CrossingChords("chords {} and {} cross".format(*crossing))
+    if count != n - 3:
+        raise WrongChordCount(f"{count} chords on a {n}-gon; a triangulation has {n - 3}")
+
+
+def _sorted_edges(n: int, chords: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The edges of the host on the n-gon with these chords, in sorted
+    order: the polygon's sides merged with the chords, which must come
+    sorted.  Nothing is built or held."""
+    return merge(zip(range(n - 1), range(1, n)), [(0, n - 1)], chords)
 
 
 @dataclass(frozen=True)
@@ -263,13 +317,7 @@ class Mop:
             chords = frozenset(seen)
             del seen  # one chord set alive during the sort below
         object.__setattr__(self, "chords", chords)
-        crossing = _first_crossing(chords)
-        if crossing:
-            raise CrossingChords("chords {} and {} cross".format(*crossing))
-        if len(chords) != self.n - 3:
-            raise WrongChordCount(
-                f"{len(chords)} chords on a {self.n}-gon; a triangulation has {self.n - 3}"
-            )
+        _check_sweep(self.n, _first_crossing(chords), len(chords))
 
     @property
     def graph(self) -> Graph:
@@ -292,12 +340,6 @@ class Mop:
 
     def sorted_chords(self) -> list[tuple[int, int]]:
         return sorted(self.chords)
-
-    def sorted_edges(self) -> Iterator[tuple[int, int]]:
-        """The 2n-3 edges of the host's graph in sorted order, merged from
-        the sides and the sorted chords without building the graph."""
-        n = self.n
-        return merge(zip(range(n - 1), range(1, n)), [(0, n - 1)], self.sorted_chords())
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "chords": [list(c) for c in self.sorted_chords()]}
@@ -826,12 +868,19 @@ def is_outerplanar_small(g: Graph) -> bool:
 # Named constructions
 # ---------------------------------------------------------------------------
 
-def fan(n: int) -> Mop:
+def fan(n: int, limit: int | None = HOST_VERTEX_LIMIT) -> Mop:
     """Polygon 0..n-1 with every diagonal from vertex 0: the join of a hub
     with a path on n-1 vertices."""
+    return Mop(n, frozenset(_fan_chords(n, limit)))
+
+
+def _fan_chords(n: int, limit: int | None = HOST_VERTEX_LIMIT) -> Iterator[tuple[int, int]]:
+    """fan(n)'s chords in sorted order, each once, after fan's checks on
+    n, which run at the call, not at the first chord."""
     if n < 3:
         raise ValueError(f"fan needs at least 3 vertices, got {n}")
-    return Mop(n, frozenset((0, j) for j in range(2, n - 1)))
+    check_limit(n, limit, "vertex count n")
+    return ((0, j) for j in range(2, n - 1))
 
 
 def fan_path_count(n: int, k: int) -> int:
@@ -847,22 +896,28 @@ def fan_path_count(n: int, k: int) -> int:
     return 4 * (k - 2) * comb(n + 1 - k, 2) + 3 * (n - k) - 1
 
 
-def triple_fan(n: int) -> Mop:
+def triple_fan(n: int, limit: int | None = HOST_VERTEX_LIMIT) -> Mop:
     """Three fans on n/3+1 vertices glued in a ring, each hub identified
     with the far rim end of the previous fan.
 
     Laid out on the polygon with hubs at 0, n/3, 2n/3; the three hub-to-hub
     chords bound the central triangular face.
     """
+    return Mop(n, frozenset(_triple_fan_chords(n, limit)))
+
+
+def _triple_fan_chords(n: int,
+                       limit: int | None = HOST_VERTEX_LIMIT) -> Iterator[tuple[int, int]]:
+    """triple_fan(n)'s chords in sorted order, each once, after its checks
+    on n, which run at the call.  Hub h = 0, m, 2m (m = n/3) is joined to
+    h+2..h+m; the last hub's chord to h+m = n is (0, 2m)."""
     if n % 3 != 0 or n < 6:
         raise ValueError(f"triple fan needs n divisible by 3 and >= 6, got {n}")
+    check_limit(n, limit, "vertex count n")
     m = n // 3
-    chords = set()
-    for hub in (0, m, 2 * m):
-        for j in range(hub + 2, hub + m + 1):
-            a, b = hub, j % n
-            chords.add((a, b) if a < b else (b, a))
-    return Mop(n, frozenset(chords))
+    return chain(((0, j) for j in range(2, m + 1)), [(0, 2 * m)],
+                 ((m, j) for j in range(m + 2, 2 * m + 1)),
+                 ((2 * m, j) for j in range(2 * m + 2, n)))
 
 
 def star_blowup(pattern: Pattern, s: int) -> Graph:

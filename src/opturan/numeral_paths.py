@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 from typing import Iterator, Sequence
 
-from .graph_core import Mop, MopError
+from .graph_core import HOST_VERTEX_LIMIT, Mop, MopError
 from .guards import check_limit
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "admissible_pairs",
 ]
 
-NUMERAL_VERTEX_LIMIT = 10**6
 SCHEDULE_ENUM_LIMIT = 20
 _PAIRS_EXHAUSTIVE_CAP = 10_000  # admissible_pairs lists every pair up to this
 _PAIRS_SAMPLE_SIZE = 100        # and samples this many, seeded, beyond it
@@ -73,33 +73,9 @@ def _digits(x: int, base: int, width: int) -> list[int]:
     return out
 
 
-def _rule_chords(base: int, width: int, n: int) -> Iterator[tuple[int, int]]:
-    """The digit-rule chords (a, b), a < b, repeats included, built from
-    one int object per label."""
-    label = list(range(n))
-    step = base  # the step=1 chain is the polygon boundary itself
-    for _ in range(1, width):
-        for r in range(0, n, step):
-            a, b = r, (r + step) % n
-            if a > b:
-                a, b = b, a
-            if 2 <= b - a <= n - 2:
-                yield label[a], label[b]
-        step *= base
-    for x in range(1, n):
-        a = _zero_last_nonzero(x, base)
-        if 2 <= x - a <= n - 2:
-            yield label[a], label[x]
-
-
-def numeral_graph(base: int, width: int,
-                  limit: int | None = NUMERAL_VERTEX_LIMIT) -> Mop:
-    """Build the digit-rule triangulation as a `Mop`.
-
-    The edge set is re-validated as a polygon-plus-chords triangulation; a
-    failure there means the construction itself is broken, so it surfaces
-    as a RuntimeError rather than bad input.
-    """
+def _numeral_size(base: int, width: int, limit: int | None = HOST_VERTEX_LIMIT) -> int:
+    """numeral_graph's checks on its arguments, in its order; the vertex
+    count base**width."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if width < 1:
@@ -108,14 +84,65 @@ def numeral_graph(base: int, width: int,
     check_limit(n, limit, "vertex count base**width")
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got base**width={n}")
-    chords = frozenset(_rule_chords(base, width, n))
+    return n
+
+
+def _numeral_chords(base: int, width: int, n: int) -> Iterator[tuple[int, int]]:
+    """The digit-rule chords (a, b), a < b, of the host on n = base**width
+    vertices, in sorted order, each once.
+
+    Let a have t trailing zeros (t = width for a = 0).  Zeroing the last
+    nonzero digit takes b to a exactly when b = a + c*base**s with s < t
+    and 0 < c < base; these ends ascend in (s, c), all below a + base**t.
+    The chain of step base**j joins a to a + base**j for j <= t, which is
+    new only for j = t < width and below n (at n it wraps to 0 instead).
+    For a = 0 the chains wrap to n - base**j, new for 0 < j < width - 1
+    and above every other end of 0.  Ends b with b - a < 2 (a side) or
+    b - a > n - 2 (the side (0, n-1)) are left out.  Only multiples of
+    base have t >= 1: every other vertex is the left end of no chord.
+    """
+    powers = [base**s for s in range(width + 1)]
+    for a in range(0, n, base):
+        t = width
+        if a:
+            t = 1
+            while a % powers[t + 1] == 0:
+                t += 1
+        for p in powers[:t]:
+            yield from ((a, b) for b in range(a + max(p, 2), min(a + base * p, a + n - 1), p))
+        if t < width and a + powers[t] < n:
+            yield a, a + powers[t]
+        if not a:
+            yield from ((0, n - powers[j]) for j in range(width - 2, 0, -1))
+
+
+@contextmanager
+def _rule_faults(base: int, width: int):
+    """A MopError raised inside comes out as a RuntimeError: the digit
+    rules gave a chord set that is no triangulation, so the construction
+    itself is broken, not the input."""
     try:
-        return Mop(n, chords)  # keeps this frozenset and its tuples
+        yield
     except MopError as exc:
         raise RuntimeError(
             f"digit-rule edge set for base={base}, width={width} is not a "
             f"triangulation: {exc}"
         ) from exc
+
+
+def numeral_graph(base: int, width: int,
+                  limit: int | None = HOST_VERTEX_LIMIT) -> Mop:
+    """Build the digit-rule triangulation as a `Mop`.
+
+    The edge set is re-validated as a polygon-plus-chords triangulation; a
+    failure there means the construction itself is broken, so it surfaces
+    as a RuntimeError rather than bad input.
+    """
+    n = _numeral_size(base, width, limit)
+    label = list(range(n))  # one int object per vertex, shared by its chords
+    with _rule_faults(base, width):
+        return Mop(n, frozenset((label[a], label[b])
+                                for a, b in _numeral_chords(base, width, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,58 @@ def test_gen_numeral_guard(capture):
     assert code == 2 and "guard" in err
 
 
+@pytest.mark.parametrize("argv,what", [
+    (("--numeral", "1001", "2"), "base**width=1002001"),
+    (("--fan", "1000001"), "n=1000001"),
+    (("--triple-fan", "1000002"), "n=1000002"),
+])
+def test_gen_vertex_guards(capture, argv, what):
+    # every family is refused past 10^6 vertices before any chord is made
+    assert capture("gen", *argv) == (
+        2, "", f"gen: vertex count {what} exceeds the desk-scale guard 1000000; "
+        "pass limit=None (CLI: --unsafe-scale) to override\n")
+
+
+@pytest.mark.parametrize("argv", sorted(a for a in GEN_STDOUT if a.startswith("gen ")))
+def test_gen_builds_no_mop(capture, monkeypatch, argv):
+    # gen checks the chord stream itself and writes from a second pass
+    def no_mop(self):
+        raise AssertionError("gen built a Mop")
+
+    monkeypatch.setattr(graph_core.Mop, "__post_init__", no_mop)
+    assert capture(*argv.split()) == (0, GEN_STDOUT[argv], "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_gen_refuses_a_broken_rule_before_the_first_byte(capsys, monkeypatch, fmt):
+    # the missing chord shows only at the end of the stream, after every
+    # chord could have been written; gen raises what numeral_graph raises
+    rule = numeral_paths._numeral_chords
+    monkeypatch.setattr(numeral_paths, "_numeral_chords",
+                        lambda base, width, n: (c for c in rule(base, width, n) if c != (0, 8)))
+    with pytest.raises(RuntimeError) as want:
+        numeral_paths.numeral_graph(4, 2)
+    with pytest.raises(RuntimeError) as got:
+        run(["gen", "--numeral", "4", "2", "--format", fmt])
+    assert str(got.value) == str(want.value)
+    assert "12 chords on a 16-gon" in str(got.value)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_gen_holds_no_host(fmt):
+    # 10^5 vertices: 14.2 MB traced while gen built the Mop first, about
+    # 0.3 MB since it writes from the chord stream
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = run(["gen", "--numeral", "10", "5", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 2**20
+
+
 def test_count_cycle_path_and_tree(capture, tmp_path):
     code, out, _ = capture("gen", "--fan", "8")
     graph_file = tmp_path / "fan8.txt"
@@ -399,6 +451,15 @@ MEASURE_RSS = ("import sys\nfrom opturan.cli import run\ncode = run(sys.argv[1:]
                "peak = next(line.split()[1] for line in open('/proc/self/status')\n"
                "            if line.startswith('VmHWM:'))\n"
                "print(code, peak, file=sys.stderr)")
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a sweep with jobs > 1 starts a pool, and only it imports the module
+    script = ("import sys\nfrom opturan.cli import run\nrun(['gen', '--fan', '5'])\n"
+              "print('multiprocessing' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, text=True,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
 
 
 def max_rss_kib(*argv) -> int:
@@ -779,6 +840,8 @@ _ALL_TOPS = [tops for _, _, tops in extremal_search._SUITES.values()]
 PAST_TOPS = sorted({f"{key}={max(t.get(key, 0) for t in _ALL_TOPS) + 1}"
                     for tops in _ALL_TOPS for key in tops})
 PAST_C_TABLE = str(cli.C_TABLE_K_LIMIT + 1)  # c-table's --max-k, one past its top
+# a host past gen's vertex guard, in each family (drawn without --unsafe-scale)
+PAST_GEN = [["--fan", "1000001"], ["--triple-fan", "1000002"], ["--numeral", "1001", "2"]]
 
 
 @pytest.fixture(scope="module")
@@ -840,8 +903,10 @@ def _argv(files: Path):
             st.just(["--max-k", PAST_C_TABLE])), fmt),
         seq(st.just(["subtrees"]), req("--tree", file), opt("-k", ints(-1, 8)), fmt),
         seq(st.just(["greedy"]), req("-d", ints(-1, 4)), req("-n", ints(-1, 30)), fmt),
-        seq(st.just(["gen"]), st.lists(construction, max_size=2).map(lambda cs: sum(cs, [])),
-            flag("--unsafe-scale"), fmt),
+        seq(st.just(["gen"]), st.one_of(
+            seq(st.lists(construction, max_size=2).map(lambda cs: sum(cs, [])),
+                flag("--unsafe-scale")),
+            st.sampled_from(PAST_GEN)), fmt),
         seq(st.just(["count"]), req("--graph", file), pattern, fmt),
         seq(st.just(["gamma"]), req("-L", ints(-2, 9)), req("-t", ints(-1, 7)),
             flag("--enumerate"), flag("--unsafe-scale"), fmt),
@@ -870,3 +935,5 @@ def test_exit_code_contract(argv_dir, data):
     assert "Traceback" not in err.getvalue()
     assert code == 2 or not set(argv) & set(PAST_TOPS)
     assert code == 2 or argv[:1] != ["c-table"] or PAST_C_TABLE not in argv
+    assert code == 2 or argv[:1] != ["gen"] or not any(
+        argv[1:1 + len(past)] == past for past in PAST_GEN)

@@ -15,12 +15,15 @@ from opturan.graph_core import (
     Graph,
     InvalidChord,
     Mop,
+    MopError,
     Pattern,
     Tree,
     WrongChordCount,
     _count_injective_maps,
     _dihedral_images,
+    _check_sorted_chords,
     _first_crossing,
+    _sorted_edges,
     _walk_cycle_histogram,
     canonical_chords,
     count_cycles,
@@ -101,6 +104,53 @@ def test_mop_error_order_and_messages(chords, error, message):
     assert str(err.value) == message
 
 
+def _stream_faults(n, chords):
+    """(name, chords) pairs: the sorted chords of a host on the n-gon with
+    one fault put in, kept in sorted order where the fault allows."""
+    i = len(chords) // 2
+    # a triangulation is maximal, so any other diagonal crosses a chord
+    extra = next((a, b) for a, b in itertools.combinations(range(n), 2)
+                 if 2 <= b - a <= n - 2 and (a, b) not in chords)
+    yield "repeat", chords[:i + 1] + chords[i:]
+    yield "missing", chords[:i] + chords[i + 1:]
+    yield "crossing", sorted(chords + [extra])
+    yield "side", sorted(chords + [(i, i + 1)])
+    yield "loop", sorted(chords + [(i, i)])
+    yield "outside", chords + [(n - 2, n)]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_sorted_chord_checks_raise_what_mop_raises(n):
+    for m in enumerate_mops(n):
+        chords = m.sorted_chords()
+        _check_sorted_chords(n, iter(chords))
+        for name, faulty in _stream_faults(n, chords):
+            with pytest.raises(MopError) as want:
+                Mop(n, faulty)
+            with pytest.raises(MopError) as got:
+                _check_sorted_chords(n, iter(faulty))
+            assert type(got.value) is type(want.value), (name, faulty)
+            assert str(got.value) == str(want.value), (name, faulty)
+
+
+def test_sorted_chord_checks_refuse_chords_mop_would_sort_or_turn():
+    # Mop takes a chord set in any order and in either direction; a stream
+    # must be written as Mop keeps it, or its text would differ
+    chords = fan(7).sorted_chords()
+    swapped = [chords[1], chords[0], *chords[2:]]
+    turned = [(2, 0), *chords[1:]]
+    assert Mop(7, swapped) == Mop(7, turned) == fan(7)
+    with pytest.raises(MopError) as err:
+        _check_sorted_chords(7, swapped)
+    assert str(err.value) == "chord (0, 2) comes after (0, 3), out of sorted order"
+    with pytest.raises(InvalidChord) as err:
+        _check_sorted_chords(7, turned)
+    assert str(err.value) == "chord (2, 0) is not a tuple (a, b) with a < b"
+    with pytest.raises(MopError) as err:
+        _check_sorted_chords(2, [])
+    assert str(err.value) == "polygon needs at least 3 vertices, got 2"
+
+
 def test_mop_validation_keeps_normal_chord_tuples():
     for m in enumerate_mops(8):
         chords = list(m.chords)
@@ -149,7 +199,7 @@ def test_mop_adjacent_matches_its_graph():
 
 def test_mop_sorted_edges_are_its_graphs():
     for m in [*enumerate_mops(7), triple_fan(12), fan(9), Mop(3), Mop(4, {(1, 3)})]:
-        assert list(m.sorted_edges()) == sorted(m.graph.edges)
+        assert list(_sorted_edges(m.n, m.sorted_chords())) == sorted(m.graph.edges)
 
 
 def test_mop_graph_shares_the_mops_chord_tuples():
@@ -683,6 +733,38 @@ def test_triple_fan_validates_at_desk_scale():
         hubs = (0, n // 3, 2 * n // 3)
         for a, b in itertools.combinations(hubs, 2):
             assert m.graph.adjacent(a, b)
+
+
+def _triple_fan_reference(n):
+    """triple_fan's chords as first built, each hub's chords to the next
+    n/3 vertices round the polygon, normalised into a set."""
+    m = n // 3
+    chords = set()
+    for hub in (0, m, 2 * m):
+        for j in range(hub + 2, hub + m + 1):
+            a, b = hub, j % n
+            chords.add((a, b) if a < b else (b, a))
+    return chords
+
+
+def test_named_host_streams_are_their_sorted_chords():
+    for n in range(3, 40):
+        want = sorted({(0, j) for j in range(2, n - 1)})
+        assert list(graph_core._fan_chords(n)) == want == sorted(fan(n).chords)
+    for n in range(6, 91, 3):
+        want = sorted(_triple_fan_reference(n))
+        assert list(graph_core._triple_fan_chords(n)) == want == sorted(triple_fan(n).chords)
+
+
+def test_named_hosts_are_guarded_before_any_chord():
+    past = graph_core.HOST_VERTEX_LIMIT + 2  # a multiple of 3
+    for build in (fan, triple_fan, graph_core._fan_chords, graph_core._triple_fan_chords):
+        with pytest.raises(ScaleLimitError) as err:
+            build(past)
+        assert str(err.value).startswith(f"vertex count n={past} exceeds the desk-scale guard")
+    # limit=None lifts the guard; the streams are lazy, so nothing is built
+    assert next(graph_core._fan_chords(past, limit=None)) == (0, 2)
+    assert next(graph_core._triple_fan_chords(past, limit=None)) == (0, 2)
 
 
 def test_star_blowup_counts():

@@ -57,6 +57,47 @@ def test_numeral_graph_validates_as_triangulation():
         assert g.graph.edge_count() == 2 * g.n - 3
 
 
+def _rule_chords(base, width, n):
+    """The digit-rule chords as first written, unsorted and with repeats:
+    the reference for `_numeral_chords`."""
+    step = base  # the step=1 chain is the polygon boundary itself
+    for _ in range(1, width):
+        for r in range(0, n, step):
+            a, b = r, (r + step) % n
+            if a > b:
+                a, b = b, a
+            if 2 <= b - a <= n - 2:
+                yield a, b
+        step *= base
+    for x in range(1, n):
+        a = numeral_paths._zero_last_nonzero(x, base)
+        if 2 <= x - a <= n - 2:
+            yield a, x
+
+
+def test_numeral_chords_are_the_rule_chords_sorted_once():
+    # every base 2..11 at every width up to 2*10^5 vertices, and the
+    # widths 1 and 2 of larger bases
+    sizes = [(base, width) for base in range(2, 12) for width in range(1, 18)
+             if 3 <= base**width <= 2 * 10**5]
+    sizes += [(base, width) for base in range(12, 40) for width in (1, 2)]
+    for base, width in sizes:
+        n = base**width
+        want = sorted(frozenset(_rule_chords(base, width, n)))
+        assert list(numeral_paths._numeral_chords(base, width, n)) == want, (base, width)
+
+
+def test_numeral_graph_faults_name_the_digit_rules(monkeypatch):
+    # the chord stream is checked by Mop; a broken rule is the package's
+    # fault, not the caller's, so it is a RuntimeError naming base and width
+    rule = numeral_paths._numeral_chords
+    monkeypatch.setattr(numeral_paths, "_numeral_chords",
+                        lambda base, width, n: [c for c in rule(base, width, n) if c != (0, 8)])
+    with pytest.raises(RuntimeError, match=r"digit-rule edge set for base=4, width=2 is "
+                       r"not a triangulation: 12 chords on a 16-gon; a triangulation has 13"):
+        numeral_graph(4, 2)
+
+
 def test_numeral_graph_hands_its_chord_set_to_mop_uncopied(monkeypatch):
     handed = []
     mop = numeral_paths.Mop
