@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 MOP_ENUM_LIMIT = 16  # polygon size guard for exhaustive triangulation sweeps
-HOST_VERTEX_LIMIT = 10**6  # vertices of one named host: fan, triple fan, digit-rule graph
+HOST_VERTEX_LIMIT = 10**6  # vertices of a digit-rule graph and of a fan stream gen writes
 
 
 class MopError(ValueError):
@@ -241,9 +241,12 @@ def _sorted_crossing(order: Iterable[tuple[int, int]]) -> tuple | None:
 
 
 def _check_sorted_chords(n: int, chords: Iterable[tuple[int, int]]) -> None:
-    """Raise the MopError subclass and message that `Mop(n, chords)` would
-    raise, reading the chords once, in turn, and holding only the sweep's
-    run and open chords, never the host.
+    """Raise a MopError subclass on the stream's first fault, in stream
+    order, reading the chords once, in turn, and holding only the sweep's
+    run and open chords, never the host.  A stream with one fault gets the
+    error and message that `Mop(n, chords)` would raise; with more, `Mop`
+    may name another, since it checks every chord before its sweep, while
+    the sweep here stops at the first crossing and reads no further.
 
     The chords must come as `Mop` keeps them, normal tuples (a, b), a < b,
     and in sorted order, each once: a chord written otherwise, or one not
@@ -868,15 +871,16 @@ def is_outerplanar_small(g: Graph) -> bool:
 # Named constructions
 # ---------------------------------------------------------------------------
 
-def fan(n: int, limit: int | None = HOST_VERTEX_LIMIT) -> Mop:
+def fan(n: int) -> Mop:
     """Polygon 0..n-1 with every diagonal from vertex 0: the join of a hub
     with a path on n-1 vertices."""
-    return Mop(n, frozenset(_fan_chords(n, limit)))
+    return Mop(n, frozenset(_fan_chords(n, None)))
 
 
 def _fan_chords(n: int, limit: int | None = HOST_VERTEX_LIMIT) -> Iterator[tuple[int, int]]:
-    """fan(n)'s chords in sorted order, each once, after fan's checks on
-    n, which run at the call, not at the first chord."""
+    """fan(n)'s chords in sorted order, each once, after fan's check on n
+    and the vertex guard (limit=None lifts it), which run at the call, not
+    at the first chord.  fan itself calls with no guard."""
     if n < 3:
         raise ValueError(f"fan needs at least 3 vertices, got {n}")
     check_limit(n, limit, "vertex count n")
@@ -896,20 +900,21 @@ def fan_path_count(n: int, k: int) -> int:
     return 4 * (k - 2) * comb(n + 1 - k, 2) + 3 * (n - k) - 1
 
 
-def triple_fan(n: int, limit: int | None = HOST_VERTEX_LIMIT) -> Mop:
+def triple_fan(n: int) -> Mop:
     """Three fans on n/3+1 vertices glued in a ring, each hub identified
     with the far rim end of the previous fan.
 
     Laid out on the polygon with hubs at 0, n/3, 2n/3; the three hub-to-hub
     chords bound the central triangular face.
     """
-    return Mop(n, frozenset(_triple_fan_chords(n, limit)))
+    return Mop(n, frozenset(_triple_fan_chords(n, None)))
 
 
 def _triple_fan_chords(n: int,
                        limit: int | None = HOST_VERTEX_LIMIT) -> Iterator[tuple[int, int]]:
-    """triple_fan(n)'s chords in sorted order, each once, after its checks
-    on n, which run at the call.  Hub h = 0, m, 2m (m = n/3) is joined to
+    """triple_fan(n)'s chords in sorted order, each once, after its check
+    on n and the vertex guard (limit=None lifts it; triple_fan passes
+    None), which run at the call.  Hub h = 0, m, 2m (m = n/3) is joined to
     h+2..h+m; the last hub's chord to h+m = n is (0, 2m)."""
     if n % 3 != 0 or n < 6:
         raise ValueError(f"triple fan needs n divisible by 3 and >= 6, got {n}")

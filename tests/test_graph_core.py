@@ -133,6 +133,22 @@ def test_sorted_chord_checks_raise_what_mop_raises(n):
             assert str(got.value) == str(want.value), (name, faulty)
 
 
+def test_sorted_chord_checks_name_the_first_fault_in_stream_order():
+    # Mop checks every chord before its sweep, so with two faults it may
+    # name a later one; the stream stops at the first it reads
+    crossing_then_loop = [(0, 3), (1, 4), (2, 4), (5, 5)]
+    with pytest.raises(InvalidChord):
+        Mop(7, crossing_then_loop)
+    with pytest.raises(CrossingChords) as err:
+        _check_sorted_chords(7, iter(crossing_then_loop))
+    assert str(err.value) == "chords (0, 3) and (1, 4) cross"
+    crossing_then_repeat = [(0, 3), (1, 4), (2, 4), (2, 4)]
+    with pytest.raises(DuplicateChord):
+        Mop(7, crossing_then_repeat)
+    with pytest.raises(CrossingChords):
+        _check_sorted_chords(7, iter(crossing_then_repeat))
+
+
 def test_sorted_chord_checks_refuse_chords_mop_would_sort_or_turn():
     # Mop takes a chord set in any order and in either direction; a stream
     # must be written as Mop keeps it, or its text would differ
@@ -756,15 +772,14 @@ def test_named_host_streams_are_their_sorted_chords():
         assert list(graph_core._triple_fan_chords(n)) == want == sorted(triple_fan(n).chords)
 
 
-def test_named_hosts_are_guarded_before_any_chord():
+def test_fan_streams_are_guarded_before_any_chord():
     past = graph_core.HOST_VERTEX_LIMIT + 2  # a multiple of 3
-    for build in (fan, triple_fan, graph_core._fan_chords, graph_core._triple_fan_chords):
+    for stream in (graph_core._fan_chords, graph_core._triple_fan_chords):
         with pytest.raises(ScaleLimitError) as err:
-            build(past)
+            stream(past)
         assert str(err.value).startswith(f"vertex count n={past} exceeds the desk-scale guard")
-    # limit=None lifts the guard; the streams are lazy, so nothing is built
-    assert next(graph_core._fan_chords(past, limit=None)) == (0, 2)
-    assert next(graph_core._triple_fan_chords(past, limit=None)) == (0, 2)
+        # limit=None lifts the guard; the streams are lazy, so nothing is built
+        assert next(stream(past, limit=None)) == (0, 2)
 
 
 def test_star_blowup_counts():
