@@ -12,9 +12,11 @@ execution cannot perturb them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
@@ -112,12 +114,16 @@ class ExtremalResult:
         }
 
 
-def _scan(patterns: tuple[Pattern, ...], hosts: Iterable[Mop],
-          canon: bool) -> list[tuple[int, list | set]]:
-    """Each pattern's largest count over the hosts, with the sorted chord
-    tuples of the hosts attaining it: a list, or with canon the set of
-    their `canonical_chords`, one per orbit.  A host's tuple is built, at
-    most once, only when it ties or beats some pattern's running maximum."""
+def _scan_share(n: int, patterns: tuple[Pattern, ...], orbits: bool, canon: bool,
+                j: int = 0, w: int = 1) -> list[tuple[int, list | set]]:
+    """Each pattern's largest count over the hosts j, j + w, j + 2w, ... of
+    the sweep's stream (one host per orbit, or every labelled host), with
+    the sorted chord tuples of the hosts attaining it: a list, or with
+    canon the set of their `canonical_chords`, one per orbit.  A host's
+    tuple is built, at most once, only when it ties or beats some
+    pattern's running maximum."""
+    hosts = ((Mop(n, frozenset(_decode(n, key))) for key in islice(_orbit_keys(n), j, None, w))
+             if orbits else islice(enumerate_mops(n, limit=None), j, None, w))
     kind, add = (set, set.add) if canon else (list, list.append)
     best = [-1] * len(patterns)
     arg = [kind() for _ in patterns]
@@ -135,35 +141,21 @@ def _scan(patterns: tuple[Pattern, ...], hosts: Iterable[Mop],
     return list(zip(best, arg))
 
 
-def _scan_share(n: int, patterns: tuple[Pattern, ...], orbits: bool, share,
-                canon: bool) -> list[tuple[int, list | set]]:
-    """`_scan` over one worker's share: orbit keys, or the apex of the
-    labelled hosts' triangle on the side (0, n-1) (None for every host)."""
-    hosts = ((Mop(n, frozenset(_decode(n, key))) for key in share) if orbits
-             else enumerate_mops(n, limit=None, first_apex=share))
-    return _scan(patterns, hosts, canon)
-
-
 def _scan_all(n: int, patterns: tuple[Pattern, ...], orbits: bool, canon: bool,
               jobs: int) -> list[tuple[int, list | set]]:
-    """`_scan` over one host per orbit or over every labelled host, split
-    across `jobs` workers: the orbit keys round-robin, the labelled hosts
-    by the apex of their triangle on the side (0, n-1)."""
-    if orbits:
-        keys = _orbit_keys(n)
-        shares = [keys[j::jobs] for j in range(min(jobs, len(keys)))]
-    else:
-        shares = [None] if jobs <= 1 or n < 4 else range(1, n - 1)
-    if len(shares) == 1:
-        return _scan_share(n, patterns, orbits, shares[0], canon)
+    """`_scan_share` split round-robin across w = min(jobs, CPUs) workers:
+    worker j builds its own host stream and scans every w-th host of it
+    from the j-th on."""
+    w = min(jobs, os.cpu_count() or 1)
+    if w <= 1:
+        return _scan_share(n, patterns, orbits, canon)
     import multiprocessing  # only here: importing it costs every other run ~7 ms
 
-    with multiprocessing.Pool(min(jobs, len(shares))) as pool:
-        parts = pool.starmap(_scan_share,
-                             [(n, patterns, orbits, share, canon) for share in shares])
+    with multiprocessing.Pool(w) as pool:
+        parts = pool.starmap(_scan_share, [(n, patterns, orbits, canon, j, w) for j in range(w)])
     extend = set.update if canon else list.extend
     merged = parts[0]
-    for part in parts[1:]:  # the share order keeps the merge deterministic
+    for part in parts[1:]:
         for i, (b, a) in enumerate(part):
             if b > merged[i][0]:
                 merged[i] = (b, a)

@@ -386,17 +386,15 @@ def _mop_triangles(n: int, chords: frozenset) -> tuple[tuple[int, int, int], ...
 # Triangulation enumeration
 # ---------------------------------------------------------------------------
 
-def _triangulation_chords(lo: int, hi: int,
-                          apexes: tuple[int, ...] | None = None) -> Iterator[tuple]:
+def _triangulation_chords(lo: int, hi: int) -> Iterator[tuple]:
     """All triangulations of the convex polygon on the labels lo..hi, as
     tuples of chords (a, b), a < b.  Recursion on the edge (lo, hi): pick
     its triangle's apex m, then triangulate the label runs lo..m and m..hi.
-    apexes, if given, restricts the top-level pick to those labels.
     """
     if hi - lo < 2:
         yield ()
         return
-    for m in range(lo + 1, hi) if apexes is None else apexes:
+    for m in range(lo + 1, hi):
         own = ((lo, m),) if m - lo >= 2 else ()
         if hi - m >= 2:
             own += ((m, hi),)
@@ -405,16 +403,9 @@ def _triangulation_chords(lo: int, hi: int,
                 yield left + right + own
 
 
-def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
-                   first_apex: int | None = None) -> Iterator[Mop]:
+def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT) -> Iterator[Mop]:
     """Every labeled triangulation of the convex n-gon, exactly once
-    (catalan(n-2) of them), each on one chord frozenset that `Mop` keeps.
-
-    first_apex restricts the stream to triangulations whose triangle on the
-    polygon edge (0, n-1) has the given apex; the full stream is the
-    disjoint union over apexes 1..n-2, which is how parallel sweeps
-    partition the work.
-    """
+    (catalan(n-2) of them), each on one chord frozenset that `Mop` keeps."""
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     check_limit(n, limit, "polygon size n")
@@ -422,10 +413,7 @@ def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT,
     if n > depth:
         raise ValueError(f"polygon size n={n} exceeds {depth}, the deepest "
                          "triangulation stream the recursion limit allows")
-    if first_apex is not None and not (1 <= first_apex <= n - 2):
-        raise ValueError(f"first_apex must be in 1..{n - 2}, got {first_apex}")
-    apexes = None if first_apex is None else (first_apex,)
-    for chords in _triangulation_chords(0, n - 1, apexes):
+    for chords in _triangulation_chords(0, n - 1):
         yield Mop(n, frozenset(chords))
 
 

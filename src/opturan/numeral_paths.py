@@ -27,7 +27,7 @@ from math import comb, isqrt
 from typing import Iterator, Sequence
 
 from .graph_core import HOST_VERTEX_LIMIT, Mop, MopError
-from .guards import check_limit
+from .guards import ScaleLimitError, check_limit
 
 __all__ = [
     "numeral_graph",
@@ -75,11 +75,17 @@ def _digits(x: int, base: int, width: int) -> list[int]:
 
 def _numeral_size(base: int, width: int, limit: int | None = HOST_VERTEX_LIMIT) -> int:
     """numeral_graph's checks on its arguments, in its order; the vertex
-    count base**width."""
+    count base**width.  When its lower bound 2**((base.bit_length()-1)*width)
+    already reaches 2**64 and passes the guard, the count is refused before
+    the power is computed and named by its formula: its digits could run
+    past what str() prints."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    if limit is not None and (base.bit_length() - 1) * width >= max(64, limit.bit_length()):
+        raise ScaleLimitError(f"vertex count base**width={base}**{width} "
+                              f"exceeds the desk-scale guard {limit}")
     n = base**width
     check_limit(n, limit, "vertex count base**width")
     if n < 3:

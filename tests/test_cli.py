@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from opturan import cli, exactmath, extremal_search, graph_core, numeral_paths
 from opturan.cli import OUTPUT_SCHEMA, run
+from opturan.guards import ScaleLimitError
 
 # stdout of `gen` for three constructions in every format, keyed by argv,
 # recorded before `gen` stopped building the graph for JSON output.
@@ -201,12 +202,28 @@ def test_gen_numeral_guard(capture):
     (("--numeral", "1001", "2"), "base**width=1002001"),
     (("--fan", "1000001"), "n=1000001"),
     (("--triple-fan", "1000002"), "n=1000002"),
+    (("--numeral", "10", "5000"), "base**width=10**5000"),
+    (("--numeral", "2", "3000000"), "base**width=2**3000000"),
 ])
 def test_gen_vertex_guards(capture, argv, what):
     # every family is refused past 10^6 vertices before any chord is made
     assert capture("gen", *argv) == (
         2, "", f"gen: vertex count {what} exceeds the desk-scale guard 1000000; "
         "pass limit=None (CLI: --unsafe-scale) to override\n")
+
+
+def test_gen_refuses_a_huge_numeral_before_the_power():
+    # 10**3000000 takes 1.2 MB (and about 2 s) to compute, and past 4300
+    # digits str() refuses it; the guard names it by its formula instead
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleLimitError, match=r"base\*\*width=10\*\*3000000 exceeds"):
+            numeral_paths._numeral_size(10, 3_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert numeral_paths._numeral_size(2, 64, limit=None) == 2**64  # --unsafe-scale
 
 
 @pytest.mark.parametrize("argv", sorted(a for a in GEN_STDOUT if a.startswith("gen ")))

@@ -1,7 +1,10 @@
 """Brute-force maxima, closed forms, and the verification suites."""
 
 import hashlib
+import itertools
 import json
+import multiprocessing
+import os
 import tracemalloc
 from math import comb
 
@@ -88,6 +91,7 @@ def test_brute_force_dedup_toggle():
 
 K13 = Pattern.tree(Tree(4, [(0, 1), (0, 2), (0, 3)]))
 SPIDER5 = Pattern.tree(Tree(5, [(0, 1), (1, 2), (0, 3), (0, 4)]))
+MIXED = [Pattern.cycle(3), Pattern.path(2), Pattern.cycle(6), K13, Pattern.path(5)]
 
 
 def labelled_scan(n, patterns):
@@ -123,9 +127,8 @@ def test_brute_force_tree_pattern_against_direct_scan():
 
 
 def test_mixed_and_parallel_sweeps_match_labelled_scan():
-    mixed = [Pattern.cycle(3), Pattern.path(2), Pattern.cycle(6), K13, Pattern.path(5)]
     cycles = [Pattern.cycle(k) for k in range(3, 9)]  # the labelled-host route
-    for patterns in (mixed, cycles):
+    for patterns in (MIXED, cycles):
         assert_sweep_matches_labelled_scan(8, patterns)
         assert_sweep_matches_labelled_scan(8, patterns, jobs=2)
 
@@ -207,6 +210,57 @@ def test_tree_pattern_jobs_match_serial():
     parallel = brute_force_maximum(7, spider, jobs=2)
     assert serial == parallel
     assert parallel.maximum > 0
+
+
+SPLIT_PATTERNS = {
+    "cycles": [Pattern.cycle(k) for k in range(3, 9)],  # the labelled-host route
+    "paths": [Pattern.path(k) for k in range(1, 8)],
+    "trees": [K13, SPIDER5],
+    "mixed": MIXED,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_PATTERNS))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_round_robin_split_matches_serial(monkeypatch, n, kind):
+    # four CPUs, so jobs 2 and 3 start a pool on any machine; at n = 3 and
+    # n = 4 some workers get no host at all
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    patterns = SPLIT_PATTERNS[kind]
+    for dedup in (True, False):
+        serial = brute_force_many(n, patterns, dedup=dedup)
+        for jobs in (2, 3):
+            assert brute_force_many(n, patterns, dedup=dedup, jobs=jobs) == serial
+
+
+def test_sweep_workers_are_capped_at_the_cpu_count(monkeypatch):
+    # one worker per orbit would ask for 228 at n = 11; the spy pool runs
+    # every share in this process, so no worker starts
+    asked = []
+
+    class SpyPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args):
+            return list(itertools.starmap(func, args))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SpyPool)
+    path3 = [Pattern.path(3)]
+    serial = brute_force_many(11, path3)
+    assert brute_force_many(11, path3, jobs=1000) == serial
+    assert all(w <= (os.cpu_count() or 1) for w in asked)
+    for cpus, pools in ((4, [4]), (None, [])):
+        asked.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert brute_force_many(11, path3, jobs=1000) == serial
+        assert asked == pools
 
 
 def test_brute_force_guards():

@@ -309,7 +309,7 @@ def test_enumerate_mops_no_duplicates_and_shape():
         assert len(seen) == catalan(n - 2)
 
 
-def _reference_triangulation_chords(vs, apexes=None):
+def _reference_triangulation_chords(vs):
     """The triangulation stream before it recursed on label bounds: slices
     of the label tuple, min/max on each chord and one frozenset per level.
     The reference for the order and chord sets of enumerate_mops."""
@@ -317,7 +317,7 @@ def _reference_triangulation_chords(vs, apexes=None):
         yield frozenset()
         return
     a, b = vs[0], vs[-1]
-    for i in range(1, len(vs) - 1) if apexes is None else apexes:
+    for i in range(1, len(vs) - 1):
         m = vs[i]
         extra = []
         if i >= 2:
@@ -333,9 +333,6 @@ def test_enumerate_mops_matches_reference_stream_in_order():
     for n in range(3, 12):
         want = list(_reference_triangulation_chords(tuple(range(n))))
         assert [m.chords for m in enumerate_mops(n)] == want
-    for apex in range(1, 7):
-        want = list(_reference_triangulation_chords(tuple(range(8)), (apex,)))
-        assert [m.chords for m in enumerate_mops(8, first_apex=apex)] == want
 
 
 def test_enumerate_mops_guard():
@@ -353,21 +350,6 @@ def test_enumerate_mops_depth_ceiling():
     assert first.n == depth and len(first.chords) == depth - 3
     with pytest.raises(ValueError, match=f"polygon size n={depth + 1} exceeds {depth},"):
         next(enumerate_mops(depth + 1, limit=None))
-
-
-def test_enumerate_mops_apex_partition():
-    n = 7
-    whole = {m.chords for m in enumerate_mops(n)}
-    parts = [
-        {m.chords for m in enumerate_mops(n, first_apex=a)}
-        for a in range(1, n - 1)
-    ]
-    assert sum(len(p) for p in parts) == len(whole)
-    merged = set()
-    for p in parts:
-        assert not (merged & p)
-        merged |= p
-    assert merged == whole
 
 
 # dihedral orbits of polygon triangulations, n = 3..12 (OEIS A000207)
