@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
@@ -27,9 +27,11 @@ from .graph_core import (
     Mop,
     Pattern,
     Tree,
+    _check_sorted_chords,
     _decode,
     _dihedral_images,
     _orbit_keys,
+    _sorted_edges,
     canonical_chords,
     count_paths,
     count_patterns,
@@ -563,8 +565,7 @@ def _suite_gamma(params, jobs):
 def _suite_injection(params, jobs):
     cases = []
     for base, width, k in params["triples"]:
-        host = numeral_paths.numeral_graph(base, width)
-        adjacent, n = host.adjacent, host.n
+        n, adjacent = numeral_paths._numeral_adjacency(base, width)
         schedules = list(numeral_paths.enumerate_schedules(k - 2 * width, width))
         expected_per_pair = numeral_paths.count_schedules(k - 2 * width, width)
         pairs = numeral_paths.admissible_pairs(base, width, k)
@@ -661,9 +662,12 @@ def _suite_constructions(params, jobs):
                 f"max_n_base={fan_bases[-1]}: vertex total")
     cases = []
     for base, width in family:
-        host = numeral_paths.numeral_graph(base, width)
-        n = host.n
-        edge_count = host.graph.edge_count()
+        # numeral_graph's checks in its order, on the chord stream alone
+        n = numeral_paths._numeral_size(base, width)
+        chords = partial(numeral_paths._numeral_chords, base, width, n)
+        with numeral_paths._rule_faults(base, width):
+            _check_sorted_chords(n, chords())
+        edge_count = sum(1 for _ in _sorted_edges(n, chords()))
         cases.append(CaseResult(
             f"N{base}-t{width}-triangulation", 2 * n - 3, edge_count,
             edge_count == 2 * n - 3,

@@ -217,26 +217,32 @@ def _sorted_crossing(order: Iterable[tuple[int, int]]) -> tuple | None:
     at a time; the sweep stops at the first crossing it finds.
 
     Laminarity sweep in (a, -b) order, so that chords sharing a left end
-    come outermost first: each run of one left end is held until the
-    next left end comes, then walked from its last chord back to its
-    first.  The stack holds the open chords, each nested in the one below
-    it; chords whose right end is <= a are closed.  A chord crosses the
-    innermost open chord exactly when it ends past that chord's right
-    end.  Chords sharing an end and polygon sides never cross.  O(m).
+    come outermost first: the right ends of each run of one left end are
+    held until the next left end comes, then opened from the last back to
+    the first.  The open chords, each nested in the one below it, are held
+    as two stacks of ints, their left ends and their right ends; chords
+    whose right end is <= a are closed.  A chord crosses the innermost
+    open chord exactly when it ends past that chord's right end, so only
+    the last chord of a run can cross: the others nest inside it.  Chords
+    sharing an end and polygon sides never cross.  O(m).
     """
-    stack: list[tuple[int, int]] = []
-    run: list[tuple[int, int]] = []
-    for c in chain(order, [(-1, -1)]):  # the sentinel ends the last run
-        if run and c[0] != run[0][0]:
-            a = run[0][0]
-            while stack and stack[-1][1] <= a:
-                stack.pop()
+    lefts: list[int] = []
+    rights: list[int] = []
+    run: list[int] = []
+    a = None
+    for left, right in chain(order, [(-1, -1)]):  # the sentinel ends the last run
+        if left != a:
+            while rights and rights[-1] <= a:
+                lefts.pop()
+                rights.pop()
+            if rights and run[-1] > rights[-1]:
+                return (lefts[-1], rights[-1]), (a, run[-1])
             for r in reversed(run):
-                if stack and r[1] > stack[-1][1]:
-                    return stack[-1], r
-                stack.append(r)
+                lefts.append(a)
+                rights.append(r)
             run = []
-        run.append(c)
+            a = left
+        run.append(right)
     return None
 
 

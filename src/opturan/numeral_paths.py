@@ -24,9 +24,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .graph_core import HOST_VERTEX_LIMIT, Mop, MopError
+from .graph_core import HOST_VERTEX_LIMIT, Mop, MopError, _check_sorted_chords
 from .guards import ScaleLimitError, check_limit
 
 __all__ = [
@@ -149,6 +149,35 @@ def numeral_graph(base: int, width: int,
     with _rule_faults(base, width):
         return Mop(n, frozenset((label[a], label[b])
                                 for a, b in _numeral_chords(base, width, n)))
+
+
+def _numeral_adjacency(base: int, width: int) -> tuple[int, Callable[[int, int], bool]]:
+    """The vertex count n of numeral_graph(base, width) and a test
+    adjacent(x, y) that answers as the host's `Mop.adjacent` does, without
+    building the host.  numeral_graph's checks run in its order: its
+    argument checks and guard, then `Mop`'s checks on one pass over the
+    sorted chord stream (`_check_sorted_chords`).  While that pass runs,
+    it keeps one int per left end a, with bit b - a set for each chord
+    (a, b) once the chord has passed its checks.  A left end with t
+    trailing zeros has chords spanning at most base**t, so the ints hold
+    about n*width bits in all."""
+    n = _numeral_size(base, width)
+    spans: dict[int, int] = {}
+
+    def kept(chords):
+        for chord in chords:
+            yield chord  # checked before the stream resumes here
+            a, b = chord
+            spans[a] = spans.get(a, 0) | 1 << (b - a)
+
+    with _rule_faults(base, width):
+        _check_sorted_chords(n, kept(_numeral_chords(base, width, n)))
+
+    def adjacent(x: int, y: int) -> bool:
+        d = abs(x - y)
+        return d == 1 or d == n - 1 or bool(spans.get(min(x, y), 0) >> d & 1)
+
+    return n, adjacent
 
 
 # ---------------------------------------------------------------------------

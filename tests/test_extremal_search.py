@@ -339,6 +339,7 @@ def test_constructions_bounds_its_hosts_together(monkeypatch):
         raise Built
 
     monkeypatch.setattr(numeral_paths, "numeral_graph", no_host)
+    monkeypatch.setattr(numeral_paths, "_numeral_chords", no_host)
     # each top alone passes the bound and reaches the first host ...
     for top in ({"max_t": 5}, {"max_n_base": 40}):
         with pytest.raises(Built):
@@ -614,6 +615,46 @@ def test_injection_accepts_the_closing_side(monkeypatch):
     assert (0, 99) not in host.chords  # a side, not a chord
     case = _injection_with_path(monkeypatch, path)
     assert (case.actual, case.passed) == (0, True)
+
+
+def test_injection_holds_no_host(suite_report):
+    # 4.76 MB traced while the suite built numeral_graph(30, 3) as a Mop;
+    # 0.22 MB with only the chord spans of each left end
+    verify_suite("injection", triples=((10, 2, 8),))  # imports before the trace
+    tracemalloc.start()
+    try:
+        report = verify_suite("injection")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.to_text() == suite_report("injection").to_text()
+    assert peak < 2**20
+
+
+def test_injection_builds_neither_numeral_graph_nor_mop(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def no_host(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(numeral_paths, "numeral_graph", no_host)
+    monkeypatch.setattr(Mop, "__post_init__", no_host)
+    assert verify_suite("injection", triples=((10, 2, 8), (12, 2, 10))).passed
+
+
+def test_injection_names_a_broken_digit_rule_as_numeral_graph_does(monkeypatch):
+    # (5, 15) crosses the chords (0, 6) to (0, 10); the stream stays sorted
+    rule = numeral_paths._numeral_chords
+    monkeypatch.setattr(numeral_paths, "_numeral_chords",
+                        lambda base, width, n: iter(sorted([*rule(base, width, n), (5, 15)])))
+    with pytest.raises(RuntimeError) as want:
+        numeral_paths.numeral_graph(10, 2)
+    with pytest.raises(RuntimeError) as got:
+        verify_suite("injection", triples=((10, 2, 8),))
+    assert str(got.value) == str(want.value) == (
+        "digit-rule edge set for base=10, width=2 is not a triangulation: "
+        "chords (0, 6) and (5, 15) cross")
 
 
 def test_suite_param_override():

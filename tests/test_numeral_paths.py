@@ -131,6 +131,41 @@ def test_numeral_graph_builds_its_host_without_transient_copies():
     assert peak < 7 * 2**20
 
 
+def test_numeral_adjacency_answers_as_the_host_does():
+    for base, width in [(4, 2), (10, 2), (3, 3), (2, 4)]:
+        host = numeral_graph(base, width)
+        n, adjacent = numeral_paths._numeral_adjacency(base, width)
+        assert n == host.n
+        for x in range(n):
+            for y in range(n):
+                assert adjacent(x, y) == host.adjacent(x, y), (base, width, x, y)
+        # vertices off the polygon: sides by arithmetic alone, no chord
+        for x in (-n, -2, -1, n, n + 1, 2 * n):
+            for y in (0, 1, base, n - 1, x + 1, x + n - 1):
+                assert adjacent(x, y) == host.adjacent(x, y), (base, width, x, y)
+                assert adjacent(y, x) == host.adjacent(y, x), (base, width, y, x)
+    host = numeral_graph(30, 3)
+    n, adjacent = numeral_paths._numeral_adjacency(30, 3)
+    rng = random.Random(27)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20_000)]
+    # as many chords, either way round, and near misses: random pairs hit few
+    chords = sorted(host.chords)
+    pairs += [rng.choice(chords)[::rng.choice((1, -1))] for _ in range(10_000)]
+    pairs += [(a, b + rng.choice((-1, 1))) for a, b in rng.sample(chords, 10_000)]
+    assert [adjacent(x, y) for x, y in pairs] == [host.adjacent(x, y) for x, y in pairs]
+    assert sum(map(host.adjacent, *zip(*pairs))) > 10_000
+
+
+def test_numeral_adjacency_makes_numeral_graphs_checks_in_its_order():
+    for args in [(101, 3), (1, 3), (2, 0), (2, 1)]:
+        with pytest.raises(ValueError) as want:
+            numeral_graph(*args)
+        with pytest.raises(ValueError) as got:
+            numeral_paths._numeral_adjacency(*args)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
 def test_numeral_graph_guards_and_bad_args():
     with pytest.raises(ScaleLimitError):
         numeral_graph(101, 3)
