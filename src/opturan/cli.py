@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from collections.abc import Iterator
 from functools import partial
@@ -265,8 +264,7 @@ def _rational_text(value: Fraction) -> str:
 
 def _cmd_c_table(args) -> int:
     if args.max_k < 3:
-        print(f"c-table: --max-k must be >= 3, got {args.max_k}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--max-k must be >= 3, got {args.max_k}")
     check_limit(args.max_k, _unsafe_scale(args, "table-size").get("limit", C_TABLE_K_LIMIT),
                 "density table size max_k")
     ks = list(range(3, args.max_k + 1))
@@ -322,26 +320,21 @@ def _unsafe_scale(args, guard: str) -> dict:
 
 def _cmd_gen(args) -> int:
     if sum(getattr(args, name) is not None for name in ("fan", "triple_fan", "numeral")) != 1:
-        print("gen: choose exactly one of --fan, --triple-fan, --numeral",
-              file=sys.stderr)
-        return 2
+        raise ValueError("choose exactly one of --fan, --triple-fan, --numeral")
     scale = _unsafe_scale(args, "vertex-count")
-    faults = nullcontext()
-    if args.fan is not None:
-        n, params = args.fan, {"fan": args.fan}
-        chords = partial(graph_core._fan_chords, n, **scale)
-    elif args.triple_fan is not None:
-        n, params = args.triple_fan, {"triple_fan": args.triple_fan}
-        chords = partial(graph_core._triple_fan_chords, n, **scale)
-    else:
-        base, width = args.numeral
-        params = {"numeral": [base, width]}
-        n = numeral_paths._numeral_size(base, width, **scale)
-        chords = partial(numeral_paths._numeral_chords, base, width, n)
-        faults = numeral_paths._rule_faults(base, width)
     # one pass checks every chord as Mop would, before the first byte; each
     # format then writes from a second pass, and neither holds the host
-    with faults:
+    if args.numeral is not None:
+        base, width = args.numeral
+        params = {"numeral": [base, width]}
+        n, chords = numeral_paths._numeral_stream(base, width, **scale)
+    else:
+        if args.fan is not None:
+            n, params = args.fan, {"fan": args.fan}
+            chords = partial(graph_core._fan_chords, n, **scale)
+        else:
+            n, params = args.triple_fan, {"triple_fan": args.triple_fan}
+            chords = partial(graph_core._triple_fan_chords, n, **scale)
         graph_core._check_sorted_chords(n, chords())
     return _emit(args, params,
                  text=lambda: graph_core._edge_list_lines(
@@ -402,8 +395,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_inject(args) -> int:
     length = args.k - 2 * args.t
     if length < 0:
-        print(f"inject: k={args.k} is below 2*t={2 * args.t}", file=sys.stderr)
-        return 2
+        raise ValueError(f"k={args.k} is below 2*t={2 * args.t}")
     if args.all_seqs:
         schedules = _schedules(length, args.t, {})
     else:
@@ -441,8 +433,7 @@ def _cmd_verify(args) -> int:
     for item in args.param or ():
         key, _, value = item.partition("=")
         if not value:
-            print(f"verify: --param wants KEY=VALUE, got {item!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--param wants KEY=VALUE, got {item!r}")
         try:
             value = int(value)  # what argparse does for --max-k and the rest
         except ValueError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple
@@ -27,7 +27,6 @@ from .graph_core import (
     Mop,
     Pattern,
     Tree,
-    _check_sorted_chords,
     _decode,
     _dihedral_images,
     _orbit_keys,
@@ -663,10 +662,7 @@ def _suite_constructions(params, jobs):
     cases = []
     for base, width in family:
         # numeral_graph's checks in its order, on the chord stream alone
-        n = numeral_paths._numeral_size(base, width)
-        chords = partial(numeral_paths._numeral_chords, base, width, n)
-        with numeral_paths._rule_faults(base, width):
-            _check_sorted_chords(n, chords())
+        n, chords = numeral_paths._numeral_stream(base, width)
         edge_count = sum(1 for _ in _sorted_edges(n, chords()))
         cases.append(CaseResult(
             f"N{base}-t{width}-triangulation", 2 * n - 3, edge_count,

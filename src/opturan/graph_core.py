@@ -332,12 +332,6 @@ class Mop:
     def graph(self) -> Graph:
         return _mop_graph(self.n, self.chords)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        """Whether vertices u and v (each in 0..n-1) span a polygon side or
-        a chord, the edges `_mop_graph` builds, without building them."""
-        return abs(u - v) in (1, self.n - 1) or (
-            (u, v) if u < v else (v, u)) in self.chords
-
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """The n-2 triangular faces, each a sorted vertex triple, in sorted
         order.  Each face (a, m, c), a < m < c, is read off its longest

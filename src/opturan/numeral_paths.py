@@ -151,27 +151,30 @@ def numeral_graph(base: int, width: int,
                                 for a, b in _numeral_chords(base, width, n)))
 
 
+def _numeral_stream(base: int, width: int, limit: int | None = HOST_VERTEX_LIMIT
+                    ) -> tuple[int, Callable[[], Iterator[tuple[int, int]]]]:
+    """numeral_graph's checks in its order without building the host: its
+    argument checks and guard, then `Mop`'s checks on one pass over the
+    sorted chord stream (`_check_sorted_chords`), so a broken rule raises
+    numeral_graph's RuntimeError.  Returns the vertex count n and a
+    function that yields the checked stream again, a fresh pass per call."""
+    n = _numeral_size(base, width, limit)
+    with _rule_faults(base, width):
+        _check_sorted_chords(n, _numeral_chords(base, width, n))
+    return n, lambda: _numeral_chords(base, width, n)
+
+
 def _numeral_adjacency(base: int, width: int) -> tuple[int, Callable[[int, int], bool]]:
     """The vertex count n of numeral_graph(base, width) and a test
-    adjacent(x, y) that answers as the host's `Mop.adjacent` does, without
-    building the host.  numeral_graph's checks run in its order: its
-    argument checks and guard, then `Mop`'s checks on one pass over the
-    sorted chord stream (`_check_sorted_chords`).  While that pass runs,
-    it keeps one int per left end a, with bit b - a set for each chord
-    (a, b) once the chord has passed its checks.  A left end with t
-    trailing zeros has chords spanning at most base**t, so the ints hold
-    about n*width bits in all."""
-    n = _numeral_size(base, width)
+    adjacent(x, y) that answers on 0..n-1 as the host's graph does,
+    without building the host.  The checked stream (`_numeral_stream`) is
+    read a second time to keep one int per left end a, with bit b - a set
+    for each chord (a, b).  A left end with t trailing zeros has chords
+    spanning at most base**t, so the ints hold about n*width bits in all."""
+    n, chords = _numeral_stream(base, width)
     spans: dict[int, int] = {}
-
-    def kept(chords):
-        for chord in chords:
-            yield chord  # checked before the stream resumes here
-            a, b = chord
-            spans[a] = spans.get(a, 0) | 1 << (b - a)
-
-    with _rule_faults(base, width):
-        _check_sorted_chords(n, kept(_numeral_chords(base, width, n)))
+    for a, b in chords():
+        spans[a] = spans.get(a, 0) | 1 << (b - a)
 
     def adjacent(x: int, y: int) -> bool:
         d = abs(x - y)

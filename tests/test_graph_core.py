@@ -205,15 +205,6 @@ def test_mop_keeps_a_frozenset_of_normal_chords():
         assert Mop(9, host.chords).chords is host.chords
 
 
-def test_mop_adjacent_matches_its_graph():
-    hosts = [*enumerate_mops(7), triple_fan(12), fan(9), Mop(3)]
-    for m in hosts:
-        g = m.graph
-        for u in range(m.n):
-            for v in range(m.n):
-                assert m.adjacent(u, v) == g.adjacent(u, v), (m, u, v)
-
-
 def test_mop_sorted_edges_are_its_graphs():
     for m in [*enumerate_mops(7), triple_fan(12), fan(9), Mop(3), Mop(4, {(1, 3)})]:
         assert list(_sorted_edges(m.n, m.sorted_chords())) == sorted(m.graph.edges)

@@ -55,6 +55,12 @@ def test_numeral_graph_validates_as_triangulation():
     for base, width in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (12, 2)]:
         g = numeral_graph(base, width)
         assert g.graph.edge_count() == 2 * g.n - 3
+    # the checked stream is the host's chords, again on every call
+    for base, width in [(4, 2), (10, 3), (2, 5), (7, 1)]:
+        n, chords = numeral_paths._numeral_stream(base, width)
+        host = numeral_graph(base, width)
+        assert n == host.n
+        assert list(chords()) == list(chords()) == host.sorted_chords()
 
 
 def _rule_chords(base, width, n):
@@ -96,6 +102,15 @@ def test_numeral_graph_faults_name_the_digit_rules(monkeypatch):
     with pytest.raises(RuntimeError, match=r"digit-rule edge set for base=4, width=2 is "
                        r"not a triangulation: 12 chords on a 16-gon; a triangulation has 13"):
         numeral_graph(4, 2)
+    # (5, 15) crosses the chords (0, 6) to (0, 10); the stream stays sorted,
+    # and its one-pass check names the crossing as numeral_graph does
+    monkeypatch.setattr(numeral_paths, "_numeral_chords",
+                        lambda base, width, n: iter(sorted([*rule(base, width, n), (5, 15)])))
+    for entry in (numeral_graph, numeral_paths._numeral_stream):
+        with pytest.raises(RuntimeError) as got:
+            entry(10, 2)
+        assert str(got.value) == ("digit-rule edge set for base=10, width=2 is not a "
+                                  "triangulation: chords (0, 6) and (5, 15) cross")
 
 
 def test_numeral_graph_hands_its_chord_set_to_mop_uncopied(monkeypatch):
@@ -138,12 +153,12 @@ def test_numeral_adjacency_answers_as_the_host_does():
         assert n == host.n
         for x in range(n):
             for y in range(n):
-                assert adjacent(x, y) == host.adjacent(x, y), (base, width, x, y)
+                assert adjacent(x, y) == host.graph.adjacent(x, y), (base, width, x, y)
         # vertices off the polygon: sides by arithmetic alone, no chord
         for x in (-n, -2, -1, n, n + 1, 2 * n):
             for y in (0, 1, base, n - 1, x + 1, x + n - 1):
-                assert adjacent(x, y) == host.adjacent(x, y), (base, width, x, y)
-                assert adjacent(y, x) == host.adjacent(y, x), (base, width, y, x)
+                assert adjacent(x, y) == (abs(x - y) in (1, n - 1)) == adjacent(y, x), (
+                    base, width, x, y)
     host = numeral_graph(30, 3)
     n, adjacent = numeral_paths._numeral_adjacency(30, 3)
     rng = random.Random(27)
@@ -152,18 +167,20 @@ def test_numeral_adjacency_answers_as_the_host_does():
     chords = sorted(host.chords)
     pairs += [rng.choice(chords)[::rng.choice((1, -1))] for _ in range(10_000)]
     pairs += [(a, b + rng.choice((-1, 1))) for a, b in rng.sample(chords, 10_000)]
-    assert [adjacent(x, y) for x, y in pairs] == [host.adjacent(x, y) for x, y in pairs]
-    assert sum(map(host.adjacent, *zip(*pairs))) > 10_000
+    graph = host.graph
+    assert [adjacent(x, y) for x, y in pairs] == [graph.adjacent(x, y) for x, y in pairs]
+    assert sum(map(graph.adjacent, *zip(*pairs))) > 10_000
 
 
 def test_numeral_adjacency_makes_numeral_graphs_checks_in_its_order():
     for args in [(101, 3), (1, 3), (2, 0), (2, 1)]:
         with pytest.raises(ValueError) as want:
             numeral_graph(*args)
-        with pytest.raises(ValueError) as got:
-            numeral_paths._numeral_adjacency(*args)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+        for entry in (numeral_paths._numeral_adjacency, numeral_paths._numeral_stream):
+            with pytest.raises(ValueError) as got:
+                entry(*args)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 def test_numeral_graph_guards_and_bad_args():
@@ -560,7 +577,7 @@ def test_schedule_paths_distinct_wider():
         assert len(set(path)) == k + 1
         for x, y in zip(path, path[1:]):
             assert numeral_paths._adjacent_by_rule(x, y, base, width)
-            assert g.adjacent(x, y)
+            assert g.graph.adjacent(x, y)
         seen.add(tuple(path))
     assert len(seen) == count_schedules(k - 2 * width, width) == 128
 
