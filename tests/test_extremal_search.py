@@ -11,7 +11,7 @@ from math import comb
 import jsonschema
 import pytest
 
-from opturan import exactmath, extremal_search, graph_core, numeral_paths
+from opturan import exactmath, extremal_search, graph_core, numeral_paths, tree_engine
 from opturan.cli import OUTPUT_SCHEMA
 from opturan.exactmath import path_count_bounds
 from opturan.extremal_search import (
@@ -738,6 +738,78 @@ def test_parallel_suite_report_identical():
     parallel = verify_suite("cycle-closed-forms", max_n=8, jobs=2)
     assert serial.to_text() == parallel.to_text()
     assert serial.passed
+
+
+def test_parallel_greedy_report_identical(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so jobs=2 starts two workers
+    serial = verify_suite("greedy-optimality", max_n=8, jobs=1)
+    parallel = verify_suite("greedy-optimality", max_n=8, jobs=2)
+    assert serial.to_text() == parallel.to_text()
+    assert serial.passed
+
+
+def _failing(report):
+    return [case.case for case in report.cases if not case.passed]
+
+
+def test_bijection_fails_on_a_perturbed_cycle_count(monkeypatch):
+    real = graph_core._increasing_cycle_histogram
+    target = fan(7).graph.edges
+
+    def perturbed(g, max_k=None):
+        hist = real(g, max_k)
+        if g.edges == target:
+            hist[5] += 1
+        return hist
+
+    monkeypatch.setattr(graph_core, "_increasing_cycle_histogram", perturbed)
+    report = verify_suite("cycle-bijection", max_n=8)
+    assert _failing(report) == ["n7-cycles-equal-dual-subtrees"]
+    assert [case.actual for case in report.cases] == [0, 0, 0, 0, 1, 0]
+
+
+def test_bijection_fails_on_a_perturbed_dual_count(monkeypatch):
+    real = tree_engine._dual_subtree_counts
+    target = fan(7).chords
+
+    def perturbed(mop):
+        counts = real(mop)
+        if mop.chords == target:
+            counts[3] += 1
+        return counts
+
+    monkeypatch.setattr(extremal_search, "_dual_subtree_counts", perturbed)
+    report = verify_suite("cycle-bijection", max_n=8)
+    assert _failing(report) == ["n7-cycles-equal-dual-subtrees"]
+
+
+def test_greedy_fails_on_a_perturbed_tree_count(monkeypatch):
+    real = tree_engine.count_subtrees
+
+    def perturbed(tree, k):
+        return real(tree, k) + (tree.n == 5 and k == 3)
+
+    monkeypatch.setattr(extremal_search, "count_subtrees", perturbed)
+    assert _failing(verify_suite("greedy-optimality", max_n=8)) == ["n7-k5"]
+
+
+def test_greedy_fails_on_a_perturbed_orbit_count(monkeypatch):
+    # the orbit route counts the fan of 7 only as its orbit's representative
+    target = Mop(7, frozenset(canonical_chords(7, fan(7).chords))).graph.edges
+    real = graph_core.cycle_histogram
+    counted = []
+
+    def perturbed(g, max_k=None):
+        counted.append(g.n)
+        hist = real(g, max_k)
+        if g.edges == target:
+            hist[5] += 10
+        return hist
+
+    monkeypatch.setattr(graph_core, "cycle_histogram", perturbed)
+    assert _failing(verify_suite("greedy-optimality", max_n=8)) == ["n7-k5"]
+    # one host per orbit: 1, 1, 1, 3, 4 and 12 at n = 3..8
+    assert counted == [n for n in range(3, 9) for _ in enumerate_mop_orbits(n)]
 
 
 def test_bijection_and_greedy_extend_to_eleven():

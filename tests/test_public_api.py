@@ -46,6 +46,7 @@ CROSS_MODULE_PRIVATES = {
     ("extremal_search", "graph_core"): {"_decode", "_dihedral_images", "_orbit_keys",
                                         "_sorted_edges"},
     ("extremal_search", "numeral_paths"): {"_numeral_adjacency", "_numeral_stream"},
+    ("extremal_search", "tree_engine"): {"_dual_subtree_counts"},
     ("numeral_paths", "graph_core"): {"_check_sorted_chords"},
 }
 

@@ -4,10 +4,12 @@ networkx free-tree generator."""
 import itertools
 import random
 import tracemalloc
+from math import comb
 
 import networkx as nx
 import pytest
 
+from opturan import tree_engine
 from opturan.graph_core import Graph, Mop, enumerate_mops, fan, graph_to_dot, triple_fan
 from opturan.guards import ScaleLimitError
 from opturan.numeral_paths import numeral_graph
@@ -133,6 +135,35 @@ def test_weak_dual_of_a_large_host():
     dual = weak_dual(m)  # Tree() rejects anything that is not a tree
     assert isinstance(dual, Tree) and dual.n == m.n - 2
     assert dual.degree_sequence()[0] <= 3
+
+
+def bisected_polygon(depth):
+    """The host on 2**depth + 1 vertices in which every face (a, m, c)
+    has its apex m halfway between a and c: its dual is the complete
+    binary tree of height depth - 1."""
+    n = 2**depth + 1
+    chords = {(i, i + 2**s) for s in range(1, depth) for i in range(0, n - 1, 2**s)}
+    return Mop(n, frozenset(chords))
+
+
+def test_dual_subtree_counts_match_the_dual():
+    for n in range(3, 12):
+        for m in enumerate_mops(n):
+            assert tree_engine._dual_subtree_counts(m) == count_subtrees_all(weak_dual(m))
+    bushy = bisected_polygon(4)
+    assert weak_dual(bushy).degree_sequence() == (3,) * 6 + (2,) + (1,) * 8
+    for m in (fan(60), triple_fan(45), numeral_graph(4, 3), numeral_graph(10, 2), bushy):
+        assert tree_engine._dual_subtree_counts(m) == count_subtrees_all(weak_dual(m))
+
+
+def test_dual_subtree_counts_fill_their_fields():
+    # the dual of fan(n) is a path: n - 2 - j + 1 subtrees of j faces
+    assert tree_engine._dual_subtree_counts(fan(9)) == [0, 7, 6, 5, 4, 3, 2, 1]
+    # the dual of the triple fan of 6 is K1,3, whose 4 single faces need
+    # every bit of the field width C(4, 2).bit_length() = 3
+    counts = tree_engine._dual_subtree_counts(triple_fan(6))
+    assert counts == count_subtrees_all(star_tree(3)) == [0, 4, 3, 3, 1]
+    assert max(counts).bit_length() == comb(4, 2).bit_length()
 
 
 # ---------------------------------------------------------------------------
