@@ -31,6 +31,7 @@ from .graph_core import (
     _dihedral_images,
     _orbit_keys,
     _sorted_edges,
+    _walk,
     canonical_chords,
     count_paths,
     count_patterns,
@@ -40,7 +41,6 @@ from .graph_core import (
     fan,
     fan_path_count,
     path_histogram,
-    paths_between_histogram,
     subgraph_count,
     star_blowup,
     triple_fan,
@@ -238,14 +238,18 @@ def _fixed_endpoint_maxima(n: int) -> tuple[int, ...]:
     """max over triangulations and vertex pairs of the number of equal-
     length paths between the pair, indexed by edge count (0..n-1).  The
     maximum is a graph invariant, so one host per isomorphism class is
-    swept."""
+    swept.  Each start u < n - 1 runs one `_walk` whose count rows have a
+    slot for each end v > u only, and each length's maximum is read
+    straight off its row."""
     best = [0] * n
     for mop in enumerate_mop_orbits(n):
-        g = mop.graph
+        adj = mop.graph._adj
         for u in range(n - 1):
-            hist = paths_between_histogram(g, u)
-            for (v, e), c in hist.items():
-                if v > u and c > best[e]:
+            counts = [[0] * (n - 1 - u) for _ in range(n)]
+            _walk(adj, u, n - 1, -1, [-1] * (u + 1) + list(range(n - 1 - u)), counts)
+            for e, row in enumerate(counts):
+                c = max(row)
+                if c > best[e]:
                     best[e] = c
     return tuple(best)
 

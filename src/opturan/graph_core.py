@@ -22,6 +22,7 @@ oracle, not to be fast.
 from __future__ import annotations
 
 import sys
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -439,7 +440,14 @@ def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
         yield Mop(n, frozenset(_decode(n, key)))
 
 
-def _orbit_keys(n: int) -> list[tuple[int, ...]]:
+# _ORBIT_LEVELS[m - 3] = `_orbit_keys(m)`.  Levels are only ever appended,
+# under _ORBIT_LOCK, so each is built once per process and shared by every
+# later call for any size.
+_ORBIT_LEVELS: list[tuple[tuple[int, ...], ...]] = [((),)]
+_ORBIT_LOCK = threading.Lock()
+
+
+def _orbit_keys(n: int) -> tuple[tuple[int, ...], ...]:
     """The orbit key (`_orbit_key`) of every dihedral orbit of
     triangulations of the n-gon, n >= 3, in ascending order.  Unguarded.
 
@@ -453,19 +461,25 @@ def _orbit_keys(n: int) -> list[tuple[int, ...]]:
     vertex m-1 between m-2 and 0, and make the old side the chord
     (0, m-2).  Keying every child and keeping a set leaves one key per
     orbit.
+
+    The levels are kept in `_ORBIT_LEVELS`, immutable tuples grown under
+    `_ORBIT_LOCK` as `exactmath._PROFILE_ROWS` is, so a call for a smaller
+    size, or the next one, reuses them.  Levels 3..n hold about 16 kB at
+    n = 11 and 1.4 MB at n = 14 (tracemalloc), and grow about x3.7 a size.
     """
-    keys = {()}
-    for m in range(4, n + 1):
-        k = m - 1
-        children = set()
-        for key in keys:
-            pairs = _decode(k, key)
-            for s in range(k):
-                child = [((a - s) % k, (b - s) % k) for a, b in pairs]
-                child.append((0, k - 1))
-                children.add(_orbit_key(m, child))
-        keys = children
-    return sorted(keys)
+    levels = _ORBIT_LEVELS
+    with _ORBIT_LOCK:
+        for m in range(len(levels) + 3, n + 1):
+            k = m - 1
+            children = set()
+            for key in levels[-1]:
+                pairs = _decode(k, key)
+                for s in range(k):
+                    child = [((a - s) % k, (b - s) % k) for a, b in pairs]
+                    child.append((0, k - 1))
+                    children.add(_orbit_key(m, child))
+            levels.append(tuple(sorted(children)))
+    return levels[max(n, 3) - 3]  # below 3, the empty key alone, as for n = 3
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +492,35 @@ def _walk(adj, s: int, top: int, floor: int, slot, counts) -> None:
     to counts[e][slot[w]]; a negative slot is walked but not counted.
 
     Iterative: stack[d] iterates the neighbours of path[d], the vertex d
-    edges along the current path, so the depth is bounded by `top`, not
-    by the interpreter's recursion limit.
+    edges along the current path, for d < top - 2.  The last two levels,
+    the paths of top - 1 and top edges, are two plain nested loops, run
+    where a frame finds a free neighbour w of path[top - 3] (or from s
+    itself when top <= 2): over the neighbours x of w and the neighbours
+    of each free x.  Those paths are counted and never extended, so they
+    need no frame, and x is not even marked, since no neighbour of x is
+    x.  The stack holds at most top - 2 frames, so the depth is bounded
+    by `top`, not by the interpreter's recursion limit.
     """
     on_path = [True] * (floor + 1) + [False] * (len(adj) - floor - 1)
     on_path[s] = True
-    path = [s] * (top + 1)
-    stack = [iter(adj[s])] + [None] * top
+    if top < 3:  # s is where the loops start
+        for x in adj[s] if top else ():
+            if on_path[x]:
+                continue
+            i = slot[x]
+            if i >= 0:
+                counts[1][i] += 1
+            if top == 2:
+                for y in adj[x]:
+                    if not on_path[y]:
+                        i = slot[y]
+                        if i >= 0:
+                            counts[2][i] += 1
+        return
+    base = top - 2  # the depth of the vertex the loops start from
+    near, far = counts[top - 1], counts[top]
+    path = [s] * base
+    stack = [iter(adj[s])] + [None] * (base - 1)
     d = 0
     while d >= 0:
         for w in stack[d]:
@@ -494,12 +530,24 @@ def _walk(adj, s: int, top: int, floor: int, slot, counts) -> None:
             i = slot[w]
             if i >= 0:
                 counts[e][i] += 1
-            if e < top:
-                on_path[w] = True
+            on_path[w] = True
+            if e < base:
                 path[e] = w
                 stack[e] = iter(adj[w])
                 d = e
                 break
+            for x in adj[w]:
+                if on_path[x]:
+                    continue
+                i = slot[x]
+                if i >= 0:
+                    near[i] += 1
+                for y in adj[x]:
+                    if not on_path[y]:
+                        i = slot[y]
+                        if i >= 0:
+                            far[i] += 1
+            on_path[w] = False
         else:
             on_path[path[d]] = False
             d -= 1
@@ -777,40 +825,50 @@ def _embedding_order(h: Graph) -> list[int]:
 
 def _count_injective_maps(g: Graph, h: Graph, stop_at: int | None = None) -> int:
     """Injective maps V(h) -> V(g) sending every pattern edge to a host
-    edge.  stop_at short-circuits existence queries."""
+    edge.  stop_at short-circuits existence queries: the count is then
+    min(stop_at, maps).
+
+    Position i of the embedding order takes its candidates from the host
+    neighbours of its first anchor's image (every host vertex when it has
+    no anchor), so only its further anchors need an adjacency test; in a
+    tree pattern no vertex has one.  The last position's candidates are
+    counted, not placed.
+    """
     order = _embedding_order(h)
-    anchor = []  # earlier-placed pattern neighbours, per position
-    for i, v in enumerate(order):
-        before = set(order[:i])
-        anchor.append([w for w in h.neighbors(v) if w in before])
-    image = {}
+    at = {v: i for i, v in enumerate(order)}
+    # the positions of earlier-placed pattern neighbours, per position
+    anchors = [[at[w] for w in h.neighbors(v) if at[w] < i] for i, v in enumerate(order)]
+    first = [a[0] if a else -1 for a in anchors]
+    rest = [a[1:] for a in anchors]
+    need = [h.degree(v) for v in order]
+    adj = g._adj
+    deg = [len(a) for a in adj]
+    hosts = range(g.n)
+    image = [0] * h.n  # image[i]: host vertex of position i
     used = [False] * g.n
+    last = h.n - 1
     count = 0
 
     def place(i: int):
         nonlocal count
-        if stop_at is not None and count >= stop_at:
-            return
-        if i == len(order):
-            count += 1
-            return
-        v = order[i]
-        if anchor[i]:
-            cands = g.neighbors(image[anchor[i][0]])
-        else:
-            cands = range(g.n)
-        for w in cands:
-            if used[w] or g.degree(w) < h.degree(v):
+        k = need[i]
+        for w in (adj[image[first[i]]] if first[i] >= 0 else hosts):
+            if used[w] or deg[w] < k:
                 continue
-            if all(g.adjacent(w, image[x]) for x in anchor[i]):
-                image[v] = w
-                used[w] = True
-                place(i + 1)
-                used[w] = False
-                del image[v]
+            if rest[i] and not all(g.adjacent(w, image[x]) for x in rest[i]):
+                continue
+            if i == last:
+                count += 1
+                continue
+            image[i] = w
+            used[w] = True
+            place(i + 1)
+            used[w] = False
+            if stop_at is not None and count >= stop_at:
+                return
 
     place(0)
-    return count
+    return count if stop_at is None else min(count, stop_at)
 
 
 def subgraph_count(g: Graph, pattern: Pattern) -> int:

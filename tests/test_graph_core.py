@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -20,11 +21,14 @@ from opturan.graph_core import (
     Tree,
     WrongChordCount,
     _count_injective_maps,
+    _decode,
     _dihedral_images,
     _check_sorted_chords,
     _fan_chords,
     _first_crossing,
+    _orbit_key,
     _sorted_edges,
+    _walk,
     _walk_cycle_histogram,
     canonical_chords,
     count_cycles,
@@ -46,6 +50,7 @@ from opturan.graph_core import (
     triple_fan,
 )
 from opturan.guards import ScaleLimitError
+from opturan.tree_engine import enumerate_bounded_trees
 
 
 def k4_minus_edge():
@@ -353,6 +358,61 @@ def test_enumerate_mop_orbits_counts(n):
     assert sum(1 for _ in enumerate_mop_orbits(n)) == ORBIT_COUNTS[n]
 
 
+def _ear_insertion_keys(n):
+    """`_orbit_keys(n)` built from the triangle on every call, keeping no
+    level: the reference for the kept levels."""
+    keys = {()}
+    for m in range(4, n + 1):
+        k = m - 1
+        keys = {_orbit_key(m, [((a - s) % k, (b - s) % k) for a, b in _decode(k, key)]
+                           + [(0, k - 1)])
+                for key in keys for s in range(k)}
+    return sorted(keys)
+
+
+def test_orbit_levels_are_kept_and_reused_out_of_order(monkeypatch):
+    levels = [((),)]
+    monkeypatch.setattr(graph_core, "_ORBIT_LEVELS", levels)
+    built = 3
+    for n in (11, 9, 12, 10, 3):
+        keys = graph_core._orbit_keys(n)
+        assert type(keys) is tuple
+        assert list(keys) == _ear_insertion_keys(n)
+        assert len(keys) == ORBIT_COUNTS[n]
+        built = max(built, n)
+        assert len(levels) == built - 2  # sizes 3..built, each appended once
+        assert levels[n - 3] is keys
+    assert all(type(level) is tuple for level in levels)
+    # below the triangle, the empty key alone, never a kept level read from the end
+    assert [graph_core._orbit_keys(n) for n in range(3)] == [((),)] * 3
+
+
+def test_orbit_levels_built_by_two_threads_are_one(monkeypatch):
+    levels = [((),)]
+    monkeypatch.setattr(graph_core, "_ORBIT_LEVELS", levels)
+    start = threading.Barrier(2, timeout=30)
+    got = [None, None]
+
+    def build(i):
+        start.wait()
+        got[i] = graph_core._orbit_keys(11)
+
+    workers = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert got[0] is got[1] is levels[-1]
+    assert len(levels) == 9  # sizes 3..11, none appended twice
+    assert list(got[0]) == _ear_insertion_keys(11)
+
+
 def test_enumerate_mop_orbits_are_the_canonical_hosts():
     for n in range(3, 13):
         reps = [tuple(m.sorted_chords()) for m in enumerate_mop_orbits(n)]
@@ -610,6 +670,134 @@ def test_crossing_labelling_takes_the_walk(monkeypatch):
     assert _first_crossing(crossed.edges) == ((0, 2), (1, 4))
     assert cycle_histogram(crossed) == {3: 4, 4: 3, 5: 2, 6: 1}
     assert calls == [crossed]
+
+
+# ---------------------------------------------------------------------------
+# The DFS kernel and the embedding counter against their earlier forms
+# ---------------------------------------------------------------------------
+
+def _reference_walk(adj, s, top, floor, slot, counts):
+    """`_walk` with one stack frame per level, the last two included.  At
+    top = 0 its first frame still counts the 1-edge paths (no caller asks
+    for top = 0 from a vertex with a neighbour)."""
+    on_path = [True] * (floor + 1) + [False] * (len(adj) - floor - 1)
+    on_path[s] = True
+    path = [s] * (top + 1)
+    stack = [iter(adj[s])] + [None] * top
+    d = 0
+    while d >= 0:
+        for w in stack[d]:
+            if on_path[w]:
+                continue
+            e = d + 1
+            i = slot[w]
+            if i >= 0:
+                counts[e][i] += 1
+            if e < top:
+                on_path[w] = True
+                path[e] = w
+                stack[e] = iter(adj[w])
+                d = e
+                break
+        else:
+            on_path[path[d]] = False
+            d -= 1
+
+
+def _walk_slots(g, s):
+    """The three slot shapes callers pass: the lesser endpoint
+    (`path_histogram`), a neighbour of s (`_walk_cycle_histogram`) and
+    the identity (`paths_between_histogram`)."""
+    return ([-1] * (s + 1) + [0] * (g.n - s - 1),
+            [0 if w in g.neighbors(s) else -1 for w in range(g.n)],
+            list(range(g.n)))
+
+
+def _assert_walks_agree(g):
+    for s in range(g.n):
+        for floor in (-1, s):
+            for slot in _walk_slots(g, s):
+                for top in range(g.n):
+                    want = [[0] * g.n for _ in range(top + 2)]
+                    got = [[0] * g.n for _ in range(top + 2)]
+                    _walk(g._adj, s, top, floor, slot, got)
+                    if top:
+                        _reference_walk(g._adj, s, top, floor, slot, want)
+                    assert got == want, (g.edges, s, floor, slot, top)
+
+
+def test_walk_matches_the_frame_per_level_walk_on_every_small_host():
+    for n in range(3, 9):
+        for m in enumerate_mops(n):
+            _assert_walks_agree(m.graph)
+    for g in (Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])):
+        _assert_walks_agree(g)
+    assert paths_between_histogram(Graph(1, []), 0) == {}
+    assert paths_between_histogram(Graph(2, [(0, 1)]), 0) == {(1, 1): 1}
+    assert path_histogram(Graph(1, [])) == path_histogram(Graph(2, [])) == {}
+    assert path_histogram(Graph(2, [(0, 1)])) == {1: 1}
+    assert count_paths_between(Graph(2, [(0, 1)]), 1, 0, 1) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_matches_the_frame_per_level_walk_on_subsets_and_relabellings(data):
+    g = data.draw(random_mops(8)).graph
+    edges = data.draw(st.sets(st.sampled_from(sorted(g.edges))))
+    perm = data.draw(st.permutations(range(g.n)))
+    _assert_walks_agree(Graph(g.n, edges))  # often disconnected, sometimes edgeless
+    _assert_walks_agree(g.relabel(perm))
+
+
+def _reference_injective_maps(g, h, stop_at=None):
+    """`_count_injective_maps` with an image dict, an adjacency test on
+    every anchor and one call per placed position, the last included."""
+    order = graph_core._embedding_order(h)
+    anchor = []
+    for i, v in enumerate(order):
+        before = set(order[:i])
+        anchor.append([w for w in h.neighbors(v) if w in before])
+    image = {}
+    used = [False] * g.n
+    count = 0
+
+    def place(i):
+        nonlocal count
+        if stop_at is not None and count >= stop_at:
+            return
+        if i == len(order):
+            count += 1
+            return
+        v = order[i]
+        cands = g.neighbors(image[anchor[i][0]]) if anchor[i] else range(g.n)
+        for w in cands:
+            if used[w] or g.degree(w) < h.degree(v):
+                continue
+            if all(g.adjacent(w, image[x]) for x in anchor[i]):
+                image[v] = w
+                used[w] = True
+                place(i + 1)
+                used[w] = False
+                del image[v]
+
+    place(0)
+    return count
+
+
+def test_injective_maps_match_the_reference_on_every_small_orbit_host():
+    patterns = [t for k in range(1, 8) for t in enumerate_bounded_trees(k, max(k - 1, 1))]
+    assert len(patterns) == 25  # the free trees on 1..7 vertices
+    patterns += [Pattern.cycle(k).graph for k in range(3, 9)]
+    patterns += [Pattern.path(k).graph for k in range(1, 8)]
+    patterns.append(Graph(4, [(0, 1), (2, 3)]))  # disconnected, as is_outerplanar_small passes
+    for n in range(3, 9):
+        for m in enumerate_mop_orbits(n):
+            g = m.graph
+            for h in patterns:
+                total = _reference_injective_maps(g, h)
+                assert _count_injective_maps(g, h) == total, (g.edges, h.edges)
+                assert _count_injective_maps(g, h, stop_at=1) == min(1, total)
+                assert _reference_injective_maps(g, h, stop_at=1) == min(1, total)
 
 
 def _first_crossing_by_key(chords):

@@ -44,7 +44,7 @@ CROSS_MODULE_PRIVATES = {
                             "_fan_chords", "_sorted_edges", "_triple_fan_chords"},
     ("cli", "numeral_paths"): {"_numeral_stream"},
     ("extremal_search", "graph_core"): {"_decode", "_dihedral_images", "_orbit_keys",
-                                        "_sorted_edges"},
+                                        "_sorted_edges", "_walk"},
     ("extremal_search", "numeral_paths"): {"_numeral_adjacency", "_numeral_stream"},
     ("extremal_search", "tree_engine"): {"_dual_subtree_counts"},
     ("numeral_paths", "graph_core"): {"_check_sorted_chords"},
