@@ -29,6 +29,7 @@ from .graph_core import (
     Tree,
     _decode,
     _dihedral_images,
+    _dual_subtree_counts,
     _orbit_keys,
     _sorted_edges,
     _walk,
@@ -47,7 +48,6 @@ from .graph_core import (
 )
 from .guards import ScaleLimitError, check_limit
 from .tree_engine import (
-    _dual_subtree_counts,
     count_subtrees,
     enumerate_bounded_trees,
     greedy_tree,

@@ -4,7 +4,9 @@ The universal host representation is `Mop`: a maximal outerplanar graph
 stored as a convex polygon 0..n-1 plus a non-crossing chord set of size
 exactly n-3.  Every outerplanar graph extends to one of these, and
 subgraph counts only grow under edge addition, so all maximization runs
-range over polygon triangulations.
+range over polygon triangulations.  A host's faces are read in one place,
+`_upper_neighbours`: `Mop.triangles` lists them, and the weak dual's
+subtree DP for `cycle-bijection` (`_dual_subtree_counts`) walks them.
 
 Counting is deliberately dumb and trustworthy.  One iterative walk over
 simple paths serves all path counters and the cycle counter of any
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import sys
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush, merge
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
 from math import comb
 from typing import Iterable, Iterator
 
@@ -335,11 +337,7 @@ class Mop:
 
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """The n-2 triangular faces, each a sorted vertex triple, in sorted
-        order.  Each face (a, m, c), a < m < c, is read off its longest
-        side (a, c): every edge with c - a >= 2 (a chord, or the side
-        (0, n-1)) is the longest side of exactly one face, the one towards
-        the vertices a+1..c-1, and that face's apex m is the largest
-        neighbour of a below c."""
+        order (the face tree of `_upper_neighbours`)."""
         return _mop_triangles(self.n, self.chords)
 
     def sorted_chords(self) -> list[tuple[int, int]]:
@@ -375,12 +373,63 @@ def _mop_graph(n: int, chords: frozenset) -> Graph:
 
 @lru_cache(maxsize=16)
 def _mop_triangles(n: int, chords: frozenset) -> tuple[tuple[int, int, int], ...]:
-    """The host's faces (`Mop.triangles`), cached over the same window as
-    `_mop_graph`, for the same reason."""
-    g = _mop_graph(n, chords)
-    adj = g._adj
-    return tuple(sorted((a, adj[a][bisect_left(adj[a], c) - 1], c)
-                        for a, c in g.edges if c - a >= 2))
+    """The host's faces (`Mop.triangles`) in sorted order, cached over the
+    same window as `_mop_graph`, for the same reason."""
+    return tuple((a, m, c) for a, up in enumerate(_upper_neighbours(_mop_graph(n, chords)))
+                 for m, c in pairwise(up))
+
+
+def _upper_neighbours(g: Graph) -> list[tuple[int, ...]]:
+    """Each vertex's neighbours above it, ascending.
+
+    On a host these lists are its faces.  The faces at a fan out between
+    its neighbours in polygon order, so with a's upper neighbours
+    a+1 = u_0 < u_1 < ..., the faces whose least vertex is a are
+    (a, u_i, u_{i+1}), one per consecutive pair.  Each is read off its
+    longest side (a, u_{i+1}), the longest side of no other face, and its
+    children are the faces read off its shorter sides where those are
+    chords: (a, u_i), the pair before at a, and (u_i, u_{i+1}), the last
+    pair at u_i, as no chord at u_i crosses (a, u_{i+1}).  This is the
+    weak dual as a binary tree rooted at the face on (0, n-1).  Walking a
+    ascending, pairs ascending, gives the sorted order (`Mop.triangles`);
+    a descending, pairs ascending, puts every face after its children
+    (`_dual_subtree_counts`).
+    """
+    return [a[bisect_right(a, v):] for v, a in enumerate(g._adj)]
+
+
+def _dual_subtree_counts(mop: Mop) -> list[int]:
+    """`count_subtrees_all(weak_dual(mop))`, without building the dual.
+
+    The rooted subtree polynomial of the face read off (a, c) with apex m
+    is P(a, c) = x * (1 + P(a, m)) * (1 + P(m, c)), with P = 0 on a
+    polygon side.  The postorder of `_upper_neighbours` makes P(a, m) one
+    step earlier, at a, and P(m, c) as the last one at m.
+
+    Packing, as in `_increasing_cycle_histogram`: one int holds a
+    polynomial, field j (`width` bits) its x**j coefficient.  Each
+    coefficient, of a P or of their sum, counts distinct j-face sets, at
+    most C(N, N // 2) for N = n - 2 faces; `width` is that bound's bit
+    length, so no field carries, and the factor x is a shift.
+
+    The ints grow to about N * width bits, so this serves the sweep's
+    small hosts: on `numeral_graph(10, 3)` it takes longer than building
+    the dual and counting on it.
+    """
+    n = mop.n
+    faces = n - 2
+    width = comb(faces, faces // 2).bit_length()
+    up = _upper_neighbours(mop.graph)
+    last = [0] * n  # P of a's last face, once a is visited
+    total = 0
+    for a in range(n - 3, -1, -1):
+        p = 0
+        for m in up[a][:-1]:  # the apex of each face at a
+            p = (p + 1) * (last[m] + 1) << width
+            total += p
+        last[a] = p
+    mask = (1 << width) - 1
+    return [(total >> j * width) & mask for j in range(faces + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +672,7 @@ def _increasing_cycle_histogram(g: Graph, max_k: int | None = None) -> dict[int,
     width = comb(n, min(top, n // 2)).bit_length()
     keep = (1 << width * top) - 1
     edge = 1 << width  # one path of one edge
-    up = [a[bisect_right(a, v):] for v, a in enumerate(g._adj)]
+    up = _upper_neighbours(g)
     total = 0
     paths = [0] * n  # nonzero exactly at the reached, unpopped vertices
     closes = [-1] * n  # closes[v] == s: v is a neighbour of s

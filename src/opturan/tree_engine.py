@@ -13,18 +13,14 @@ the known winners.
 validated as a tree, so adjacency, degrees, the edge set, equality and DOT
 output all come from there.  Subtree counting is a rooted dynamic
 programme over truncated polynomials; canonical forms root at the
-centroid found from one pass of subtree sizes.  For a small host,
-`_dual_subtree_counts` runs the same programme on the faces themselves,
-each read off its longest side with children on its two shorter sides,
-in packed ints and without building the dual: `cycle-bijection` sets it
-against the host's cycle counts.
+centroid found from one pass of subtree sizes.  The host's faces, and
+the same programme run on them for `cycle-bijection` without building
+the dual, live with the host in `graph_core`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
-from math import comb
 from typing import Iterator, NamedTuple
 
 from .graph_core import Mop, Tree, count_cycles, parse_edge_list
@@ -49,13 +45,10 @@ TREE_ENUM_LIMIT = 12
 
 
 def weak_dual(mop: Mop) -> Tree:
-    """Tree on the n-2 triangular faces of a triangulation, adjacent when
-    two faces share an edge.  Faces are numbered in sorted order of their
-    vertex triples; the result has maximum degree at most 3.
-
-    Every face is read off its longest side (see `Mop.triangles`), so face
-    (a, m, c) is joined to the faces read off (a, m) and (m, c) where those
-    sides are chords."""
+    """Tree on the n-2 triangular faces of a triangulation, numbered in
+    sorted order of their vertex triples, adjacent when two faces share an
+    edge: face (a, m, c) is joined to the faces read off (a, m) and (m, c)
+    (see `graph_core._upper_neighbours`), so no degree exceeds 3."""
     tris = mop.triangles()
     by_side = {(a, c): i for i, (a, _, c) in enumerate(tris)}
     return Tree(len(tris), [(i, by_side[s]) for i, (a, m, c) in enumerate(tris)
@@ -143,49 +136,6 @@ def count_subtrees_all(tree: Tree) -> list[int]:
         for j, c in enumerate(p):
             out[j] += c
     return out
-
-
-def _dual_subtree_counts(mop: Mop) -> list[int]:
-    """`count_subtrees_all(weak_dual(mop))`, without building the dual.
-
-    Every face (a, m, c) is read off its longest side (a, c) (see
-    `Mop.triangles`), so the faces form a binary tree rooted at the side
-    (0, n-1), with children on the shorter sides (a, m) and (m, c) where
-    those are chords.  Its rooted subtree polynomial is
-    P(a, c) = x * (1 + P(a, m)) * (1 + P(m, c)), with P = 0 on a polygon
-    side.  The sides with c - a >= 2 are visited with a from n-3 down to
-    0 and each a's upper neighbours c in ascending order, so the apex m
-    is the upper neighbour of a just before c (a + 1 first), P(a, m) was
-    made one step earlier, and P(m, c) was made last for m: no chord at m
-    crosses (a, c), so c is m's largest neighbour.
-
-    Packing, as in `_increasing_cycle_histogram`: one int holds a
-    polynomial, field j (`width` bits) its x**j coefficient.  Each
-    coefficient, of a P or of their sum, counts distinct j-face sets, at
-    most C(N, N // 2) for N = n - 2 faces; `width` is that bound's bit
-    length, so no field carries, and the factor x is a shift.
-
-    The ints grow to about N * width bits, so this serves the sweep's
-    small hosts: on `numeral_graph(10, 3)` it takes longer than building
-    the dual and counting on it.
-    """
-    n = mop.n
-    faces = n - 2
-    width = comb(faces, faces // 2).bit_length()
-    g = mop.graph
-    last = [0] * n  # P(a, c) for a's largest neighbour c, once a is visited
-    total = 0
-    for a in range(n - 3, -1, -1):
-        up = g.neighbors(a)
-        m = a + 1
-        p = 0
-        for c in up[bisect_right(up, m):]:
-            p = (p + 1) * (last[m] + 1) << width
-            total += p
-            m = c
-        last[a] = p
-    mask = (1 << width) - 1
-    return [(total >> j * width) & mask for j in range(faces + 1)]
 
 
 def count_subtrees_total(tree: Tree) -> int:

@@ -769,7 +769,7 @@ def test_bijection_fails_on_a_perturbed_cycle_count(monkeypatch):
 
 
 def test_bijection_fails_on_a_perturbed_dual_count(monkeypatch):
-    real = tree_engine._dual_subtree_counts
+    real = graph_core._dual_subtree_counts
     target = fan(7).chords
 
     def perturbed(mop):

@@ -43,10 +43,9 @@ CROSS_MODULE_PRIVATES = {
     ("cli", "graph_core"): {"_check_sorted_chords", "_dot_lines", "_edge_list_lines",
                             "_fan_chords", "_sorted_edges", "_triple_fan_chords"},
     ("cli", "numeral_paths"): {"_numeral_stream"},
-    ("extremal_search", "graph_core"): {"_decode", "_dihedral_images", "_orbit_keys",
-                                        "_sorted_edges", "_walk"},
+    ("extremal_search", "graph_core"): {"_decode", "_dihedral_images", "_dual_subtree_counts",
+                                        "_orbit_keys", "_sorted_edges", "_walk"},
     ("extremal_search", "numeral_paths"): {"_numeral_adjacency", "_numeral_stream"},
-    ("extremal_search", "tree_engine"): {"_dual_subtree_counts"},
     ("numeral_paths", "graph_core"): {"_check_sorted_chords"},
 }
 
@@ -81,3 +80,18 @@ def test_cross_module_private_names_are_the_pinned_ones():
             if helper.startswith("_") and not helper.startswith("__"):
                 taken.setdefault((name, source), set()).add(helper)
     assert taken == CROSS_MODULE_PRIVATES
+
+
+def test_every_import_is_used():
+    # __init__.py imports only to re-export
+    for path in sorted(Path(opturan.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"

@@ -9,7 +9,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from opturan import tree_engine
+from opturan import graph_core
 from opturan.graph_core import Graph, Mop, enumerate_mops, fan, graph_to_dot, triple_fan
 from opturan.guards import ScaleLimitError
 from opturan.numeral_paths import numeral_graph
@@ -146,22 +146,47 @@ def bisected_polygon(depth):
     return Mop(n, frozenset(chords))
 
 
+def test_upper_neighbours_walk_the_face_tree():
+    hosts = [m for n in range(3, 12) for m in enumerate_mops(n)]
+    hosts += [fan(60), triple_fan(45), numeral_graph(4, 3), numeral_graph(10, 2),
+              bisected_polygon(4)]
+    for m in hosts:
+        n, g = m.n, m.graph
+        up = graph_core._upper_neighbours(g)
+        # sorted order: a ascending, each a's consecutive upper pairs ascending
+        faces = [(a, u, v) for a in range(n) for u, v in zip(up[a], up[a][1:])]
+        assert faces == [t for t in itertools.combinations(range(n), 3)
+                         if g.adjacent(t[0], t[1]) and g.adjacent(t[0], t[2])
+                         and g.adjacent(t[1], t[2])]
+        # postorder: a descending, pairs ascending; a face's shorter sides
+        # that are chords are the longest sides of faces walked before it
+        post = [(a, u, v) for a in reversed(range(n)) for u, v in zip(up[a], up[a][1:])]
+        assert len(post) == n - 2
+        walked = {(a, v): i for i, (a, _, v) in enumerate(post)}
+        assert len(walked) == n - 2
+        for i, (a, u, v) in enumerate(post):
+            for side in ((a, u), (u, v)):
+                if side[1] - side[0] >= 2:
+                    assert walked[side] < i
+        assert (post[-1][0], post[-1][2]) == (0, n - 1)
+
+
 def test_dual_subtree_counts_match_the_dual():
     for n in range(3, 12):
         for m in enumerate_mops(n):
-            assert tree_engine._dual_subtree_counts(m) == count_subtrees_all(weak_dual(m))
+            assert graph_core._dual_subtree_counts(m) == count_subtrees_all(weak_dual(m))
     bushy = bisected_polygon(4)
     assert weak_dual(bushy).degree_sequence() == (3,) * 6 + (2,) + (1,) * 8
     for m in (fan(60), triple_fan(45), numeral_graph(4, 3), numeral_graph(10, 2), bushy):
-        assert tree_engine._dual_subtree_counts(m) == count_subtrees_all(weak_dual(m))
+        assert graph_core._dual_subtree_counts(m) == count_subtrees_all(weak_dual(m))
 
 
 def test_dual_subtree_counts_fill_their_fields():
     # the dual of fan(n) is a path: n - 2 - j + 1 subtrees of j faces
-    assert tree_engine._dual_subtree_counts(fan(9)) == [0, 7, 6, 5, 4, 3, 2, 1]
+    assert graph_core._dual_subtree_counts(fan(9)) == [0, 7, 6, 5, 4, 3, 2, 1]
     # the dual of the triple fan of 6 is K1,3, whose 4 single faces need
     # every bit of the field width C(4, 2).bit_length() = 3
-    counts = tree_engine._dual_subtree_counts(triple_fan(6))
+    counts = graph_core._dual_subtree_counts(triple_fan(6))
     assert counts == count_subtrees_all(star_tree(3)) == [0, 4, 3, 3, 1]
     assert max(counts).bit_length() == comb(4, 2).bit_length()
 
