@@ -302,6 +302,7 @@ def _cmd_subtrees(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
+    check_limit(args.n, graph_core.HOST_VERTEX_LIMIT, "tree vertex count n")
     tree = tree_engine.greedy_tree(args.d, args.n)
     return _emit(args, {"d": args.d, "n": args.n},
                  text=lambda: [tree_engine.format_tree_text(tree)],

@@ -115,53 +115,51 @@ class ExtremalResult:
         }
 
 
-def _scan_share(n: int, patterns: tuple[Pattern, ...], orbits: bool, canon: bool,
-                j: int = 0, w: int = 1) -> list[tuple[int, list | set]]:
+def _scan_share(n: int, patterns: tuple[Pattern, ...], orbits: bool,
+                j: int = 0, w: int = 1) -> list[tuple[int, set]]:
     """Each pattern's largest count over the hosts j, j + w, j + 2w, ... of
     the sweep's stream (one host per orbit, or every labelled host), with
-    the sorted chord tuples of the hosts attaining it: a list, or with
-    canon the set of their `canonical_chords`, one per orbit.  A host's
-    tuple is built, at most once, only when it ties or beats some
-    pattern's running maximum."""
+    the set of canonical chord tuples of the classes attaining it.  An
+    orbit representative's sorted chords are already canonical; a
+    labelled host is canonicalised, at most once, only when it ties or
+    beats some pattern's running maximum."""
     hosts = ((Mop(n, frozenset(_decode(n, key))) for key in islice(_orbit_keys(n), j, None, w))
              if orbits else islice(enumerate_mops(n, limit=None), j, None, w))
-    kind, add = (set, set.add) if canon else (list, list.append)
     best = [-1] * len(patterns)
-    arg = [kind() for _ in patterns]
+    arg = [set() for _ in patterns]
     for mop in hosts:
         chords = None
         for i, c in enumerate(count_patterns(mop.graph, patterns)):
             if c < best[i]:
                 continue
             if chords is None:
-                chords = (canonical_chords(mop.n, mop.chords) if canon
-                          else tuple(mop.sorted_chords()))
+                chords = (tuple(mop.sorted_chords()) if orbits
+                          else canonical_chords(mop.n, mop.chords))
             if c > best[i]:
-                best[i], arg[i] = c, kind()
-            add(arg[i], chords)
+                best[i], arg[i] = c, set()
+            arg[i].add(chords)
     return list(zip(best, arg))
 
 
-def _scan_all(n: int, patterns: tuple[Pattern, ...], orbits: bool, canon: bool,
-              jobs: int) -> list[tuple[int, list | set]]:
+def _scan_all(n: int, patterns: tuple[Pattern, ...], orbits: bool,
+              jobs: int) -> list[tuple[int, set]]:
     """`_scan_share` split round-robin across w = min(jobs, CPUs) workers:
     worker j builds its own host stream and scans every w-th host of it
     from the j-th on."""
     w = min(jobs, os.cpu_count() or 1)
     if w <= 1:
-        return _scan_share(n, patterns, orbits, canon)
+        return _scan_share(n, patterns, orbits)
     import multiprocessing  # only here: importing it costs every other run ~7 ms
 
     with multiprocessing.Pool(w) as pool:
-        parts = pool.starmap(_scan_share, [(n, patterns, orbits, canon, j, w) for j in range(w)])
-    extend = set.update if canon else list.extend
+        parts = pool.starmap(_scan_share, [(n, patterns, orbits, j, w) for j in range(w)])
     merged = parts[0]
     for part in parts[1:]:
         for i, (b, a) in enumerate(part):
             if b > merged[i][0]:
                 merged[i] = (b, a)
             elif b == merged[i][0]:
-                extend(merged[i][1], a)
+                merged[i][1].update(a)
     return merged
 
 
@@ -169,22 +167,20 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
                      jobs: int = 1, limit: int | None = 0) -> list[ExtremalResult]:
     """Shared enumeration sweep for several patterns at once.
 
-    When a path or tree pattern is asked for, the sweep counts one host
-    per dihedral orbit, generated by `_orbit_keys`, since every count is
-    a graph invariant: 228 hosts at n = 11 instead of 4862.  Each host is
-    its orbit's canonical representative, so with dedup the maximizers
-    need no canonicalising; without it, each maximizing representative
-    expands to its distinct dihedral images, which is the sorted list of
-    every labelled maximizer.
+    Every count is a graph invariant, so the sweep keeps, per pattern, the
+    set of maximizing classes, each as its canonical chord tuple (in each
+    `jobs` worker, then their union): at most one tuple per orbit, so its
+    memory grows with the orbits, not with the catalan(n-2) hosts.
+    Without dedup, each class expands to its distinct dihedral images,
+    which is the sorted list of every labelled maximizer.
 
-    An all-cycle sweep still counts every labelled host, because
-    perfbench's tests pin one `cycle_histogram` and one `Mop.graph` call
-    per labelled host.  With dedup the scan itself canonicalises a host,
-    once, when it ties or beats some pattern's running maximum, and keeps
-    one set of canonical chord tuples per pattern (in each `jobs` worker,
-    then their union).  So the sweep holds at most one tuple per orbit
-    and pattern, never a labelled maximizer past its host, and its memory
-    grows with the orbits, not with the catalan(n-2) hosts.
+    Route rule: a deduped sweep of cycles alone counts every labelled host
+    and canonicalises a host, once, when it ties or beats some pattern's
+    running maximum, because perfbench pins one `cycle_histogram` and one
+    `Mop.graph` call per labelled host there.  Every other sweep counts
+    one representative per dihedral orbit, generated by `_orbit_keys`
+    (228 hosts at n = 11 instead of 4862), whose sorted chords are
+    already canonical.
 
     limit=0 picks the guard matching the pattern kinds; None disables it.
     """
@@ -195,15 +191,13 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
     check_limit(n, limit, "brute-force host size n")
     for p in trees:  # size guard before the first host; workers get the count
         p.automorphisms
-    orbits = any(p.kind != "cycle" for p in patterns)
+    orbits = not dedup or any(p.kind != "cycle" for p in patterns)
     results = []
-    for pattern, (best, argmax) in zip(
-            patterns, _scan_all(n, patterns, orbits, dedup and not orbits, jobs)):
-        if orbits and not dedup:
-            argmax = [image for chords in argmax for image in _dihedral_images(n, chords)]
-        # every route yields distinct tuples: hosts, orbits and images are disjoint
+    for pattern, (best, classes) in zip(patterns, _scan_all(n, patterns, orbits, jobs)):
+        if not dedup:  # the orbits are disjoint, so every image is listed once
+            classes = [image for chords in classes for image in _dihedral_images(n, chords)]
         results.append(ExtremalResult(n=n, pattern=pattern, maximum=best,
-                                      maximizers=tuple(sorted(argmax)), deduped=dedup))
+                                      maximizers=tuple(sorted(classes)), deduped=dedup))
     return results
 
 
@@ -451,7 +445,7 @@ def _suite_greedy_optimality(params, jobs):
         patterns = tuple(Pattern.cycle(k) for k in range(3, n + 1))
         # a maximum is a graph invariant, so one host per orbit serves;
         # cycle-bijection covers the DP on every labelled host
-        maxima = [best for best, _ in _scan_all(n, patterns, True, False, jobs)]
+        maxima = [best for best, _ in _scan_all(n, patterns, True, jobs)]
         trees = list(enumerate_bounded_trees(n - 2, 3))
         greedy = greedy_tree(3, n - 2)
         for k, brute in zip(range(3, n + 1), maxima):

@@ -67,7 +67,9 @@ __all__ = [
 ]
 
 MOP_ENUM_LIMIT = 16  # polygon size guard for exhaustive triangulation sweeps
-HOST_VERTEX_LIMIT = 10**6  # vertices of a digit-rule graph and of a fan stream gen writes
+# vertices of a digit-rule graph, of a fan stream gen writes, of a greedy
+# tree and of an edge-list header
+HOST_VERTEX_LIMIT = 10**6
 
 
 class MopError(ValueError):
@@ -1121,13 +1123,20 @@ def _dihedral_images(n: int, chords) -> set[tuple[tuple[int, int], ...]]:
 
 def parse_edge_list(text: str) -> Graph:
     """Edge-list format: first line n, then one 'u v' line per edge.  A bad
-    line is refused with its number, blank and '#' lines counted."""
-    lines = [(i, ln) for i, ln in enumerate((raw.strip() for raw in text.splitlines()), 1)
-             if ln and not ln.startswith("#")]
-    if not lines:
+    line is refused with its number, blank and '#' lines counted.  An n
+    past HOST_VERTEX_LIMIT is refused before any edge line is read."""
+    lines = ((i, ln) for i, ln in enumerate((raw.strip() for raw in text.splitlines()), 1)
+             if ln and not ln.startswith("#"))
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty edge list")
-    (n,) = _line_ints(*lines[0], 1, "the vertex count n")
-    return Graph(n, [_line_ints(i, ln, 2, "'u v'") for i, ln in lines[1:]])
+    (n,) = _line_ints(*first, 1, "the vertex count n")
+    try:
+        check_limit(n, HOST_VERTEX_LIMIT, "edge-list vertex count n")
+    except ScaleLimitError as exc:
+        exc.hint = "lower the value (parse_edge_list takes no limit)"
+        raise
+    return Graph(n, [_line_ints(i, ln, 2, "'u v'") for i, ln in lines])
 
 
 def _line_ints(i: int, line: str, count: int, want: str) -> tuple[int, ...]:

@@ -359,6 +359,15 @@ def test_greedy_formats(capture):
     assert "0 -- 1;" in dot
 
 
+def test_greedy_guard_fires_before_the_tree(capture, monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("greedy built a tree")
+
+    monkeypatch.setattr(cli.tree_engine, "greedy_tree", no_tree)
+    argv = "greedy -d 3 -n 1000001"
+    assert capture(*argv.split()) == (2, "", CLI_STDOUT["runs"][argv]["stderr"])
+
+
 # ---------------------------------------------------------------------------
 # gamma and inject
 # ---------------------------------------------------------------------------
@@ -845,6 +854,7 @@ ARGV_FILES = {
     "tree.txt": "7\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n",
     "star.txt": "4\n0 1\n0 2\n0 3\n",
     "host.txt": CLI_STDOUT["files"]["host.txt"],
+    "huge.txt": CLI_STDOUT["files"]["huge.txt"],  # a header n past the edge-list guard
     "k5.txt": "5\n" + "".join(f"{a} {b}\n" for a in range(5) for b in range(a + 1, 5)),
     "cycle.txt": "4\n0 1\n1 2\n2 3\n3 0\n",
     "junk.txt": "not a graph\n",
@@ -859,6 +869,7 @@ PAST_TOPS = sorted({f"{key}={max(t.get(key, 0) for t in _ALL_TOPS) + 1}"
 PAST_C_TABLE = str(cli.C_TABLE_K_LIMIT + 1)  # c-table's --max-k, one past its top
 # a host past gen's vertex guard, in each family (drawn without --unsafe-scale)
 PAST_GEN = [["--fan", "1000001"], ["--triple-fan", "1000002"], ["--numeral", "1001", "2"]]
+PAST_GREEDY = str(graph_core.HOST_VERTEX_LIMIT + 1)  # greedy's -n, one past its top
 
 
 @pytest.fixture(scope="module")
@@ -919,7 +930,8 @@ def _argv(files: Path):
             seq(opt("--max-k", ints(-1, 30)), flag("--unsafe-scale")),
             st.just(["--max-k", PAST_C_TABLE])), fmt),
         seq(st.just(["subtrees"]), req("--tree", file), opt("-k", ints(-1, 8)), fmt),
-        seq(st.just(["greedy"]), req("-d", ints(-1, 4)), req("-n", ints(-1, 30)), fmt),
+        seq(st.just(["greedy"]), req("-d", ints(-1, 4)),
+            st.one_of(req("-n", ints(-1, 30)), st.just(["-n", PAST_GREEDY])), fmt),
         seq(st.just(["gen"]), st.one_of(
             seq(st.lists(construction, max_size=2).map(lambda cs: sum(cs, [])),
                 flag("--unsafe-scale")),
@@ -954,3 +966,5 @@ def test_exit_code_contract(argv_dir, data):
     assert code == 2 or argv[:1] != ["c-table"] or PAST_C_TABLE not in argv
     assert code == 2 or argv[:1] != ["gen"] or not any(
         argv[1:1 + len(past)] == past for past in PAST_GEN)
+    assert code == 2 or argv[:1] != ["greedy"] or PAST_GREEDY not in argv
+    assert code == 2 or not any(arg.endswith("huge.txt") for arg in argv)

@@ -127,10 +127,13 @@ def test_brute_force_tree_pattern_against_direct_scan():
 
 
 def test_mixed_and_parallel_sweeps_match_labelled_scan():
-    cycles = [Pattern.cycle(k) for k in range(3, 9)]  # the labelled-host route
+    # cycles alone take the labelled-host route with dedup, orbits without
+    cycles = [Pattern.cycle(k) for k in range(3, 9)]
     for patterns in (MIXED, cycles):
         assert_sweep_matches_labelled_scan(8, patterns)
         assert_sweep_matches_labelled_scan(8, patterns, jobs=2)
+    for jobs in (1, 2):
+        assert_sweep_matches_labelled_scan(9, [Pattern.cycle(k) for k in range(3, 10)], jobs)
 
 
 def test_deduped_cycle_sweep_holds_one_tuple_per_orbit():
@@ -171,7 +174,8 @@ def test_sweep_canonicalises_only_hosts_at_the_running_maximum(monkeypatch):
 
 def test_sweep_counts_paths_per_orbit_and_cycles_per_host(monkeypatch):
     # perfbench pins one cycle_histogram and one Mop.graph call per
-    # labelled host in an all-cycle sweep
+    # labelled host in a deduped all-cycle sweep; without dedup it is
+    # counted per orbit
     calls = {"path_histogram": 0, "cycle_histogram": 0, "Mop.graph": 0, "enumerate_mops": 0}
 
     def spy(name, fn):
@@ -195,6 +199,10 @@ def test_sweep_counts_paths_per_orbit_and_cycles_per_host(monkeypatch):
     brute_force_many(8, [Pattern.cycle(3), Pattern.cycle(5)])
     assert calls == {"path_histogram": 0, "cycle_histogram": hosts, "Mop.graph": hosts,
                      "enumerate_mops": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    brute_force_many(8, [Pattern.cycle(3), Pattern.cycle(5)], dedup=False)
+    assert calls == {"path_histogram": 0, "cycle_histogram": orbits, "Mop.graph": orbits,
+                     "enumerate_mops": 0}
 
 
 def test_brute_force_jobs_match_serial():
@@ -213,7 +221,7 @@ def test_tree_pattern_jobs_match_serial():
 
 
 SPLIT_PATTERNS = {
-    "cycles": [Pattern.cycle(k) for k in range(3, 9)],  # the labelled-host route
+    "cycles": [Pattern.cycle(k) for k in range(3, 9)],  # labelled hosts with dedup
     "paths": [Pattern.path(k) for k in range(1, 8)],
     "trees": [K13, SPIDER5],
     "mixed": MIXED,

@@ -1095,6 +1095,18 @@ def test_edge_list_errors_name_the_line(text, message):
     assert str(info.value) == message
 
 
+def test_edge_list_header_guard_fires_before_the_edge_lines(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("parse_edge_list built a graph")
+
+    monkeypatch.setattr(graph_core, "Graph", no_graph)
+    # the bad second line is never read: the header alone is refused
+    with pytest.raises(ScaleLimitError) as err:
+        parse_edge_list("# big\n1000001\n0 1 2\n")
+    assert str(err.value) == ("edge-list vertex count n=1000001 exceeds the desk-scale guard "
+                              "1000000; lower the value (parse_edge_list takes no limit)")
+
+
 def test_dot_output_mentions_all_edges():
     g = fan(4).graph
     dot = graph_to_dot(g)
