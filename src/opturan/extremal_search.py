@@ -27,11 +27,8 @@ from .graph_core import (
     Mop,
     Pattern,
     Tree,
-    _decode,
     _dihedral_images,
     _dual_subtree_counts,
-    _orbit_keys,
-    _sorted_edges,
     _walk,
     canonical_chords,
     count_paths,
@@ -118,13 +115,13 @@ class ExtremalResult:
 def _scan_share(n: int, patterns: tuple[Pattern, ...], orbits: bool,
                 j: int = 0, w: int = 1) -> list[tuple[int, set]]:
     """Each pattern's largest count over the hosts j, j + w, j + 2w, ... of
-    the sweep's stream (one host per orbit, or every labelled host), with
-    the set of canonical chord tuples of the classes attaining it.  An
-    orbit representative's sorted chords are already canonical; a
-    labelled host is canonicalised, at most once, only when it ties or
-    beats some pattern's running maximum."""
-    hosts = ((Mop(n, frozenset(_decode(n, key))) for key in islice(_orbit_keys(n), j, None, w))
-             if orbits else islice(enumerate_mops(n, limit=None), j, None, w))
+    the sweep's stream (`enumerate_mop_orbits`, whose ceiling no limit
+    lifts, or every labelled host), with the set of canonical chord tuples
+    of the classes attaining it.  An orbit representative's sorted chords
+    are already canonical; a labelled host is canonicalised, at most once,
+    only when it ties or beats some pattern's running maximum."""
+    hosts = islice(enumerate_mop_orbits(n) if orbits else enumerate_mops(n, limit=None),
+                   j, None, w)
     best = [-1] * len(patterns)
     arg = [set() for _ in patterns]
     for mop in hosts:
@@ -178,11 +175,12 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
     and canonicalises a host, once, when it ties or beats some pattern's
     running maximum, because perfbench pins one `cycle_histogram` and one
     `Mop.graph` call per labelled host there.  Every other sweep counts
-    one representative per dihedral orbit, generated by `_orbit_keys`
-    (228 hosts at n = 11 instead of 4862), whose sorted chords are
-    already canonical.
+    one representative per dihedral orbit (228 hosts at n = 11 instead
+    of 4862) from the one orbit stream, `enumerate_mop_orbits`, whose
+    sorted chords are already canonical.
 
-    limit=0 picks the guard matching the pattern kinds; None disables it.
+    limit=0 picks the guard matching the pattern kinds; None disables it
+    but not the orbit stream's ceiling (16), met before the first host.
     """
     patterns = tuple(patterns)
     trees = [p for p in patterns if p.kind == "tree"]
@@ -662,7 +660,7 @@ def _suite_constructions(params, jobs):
     for base, width in family:
         # numeral_graph's checks in its order, on the chord stream alone
         n, chords = numeral_paths._numeral_stream(base, width)
-        edge_count = sum(1 for _ in _sorted_edges(n, chords()))
+        edge_count = n + sum(1 for _ in chords())  # the n sides, then the chords
         cases.append(CaseResult(
             f"N{base}-t{width}-triangulation", 2 * n - 3, edge_count,
             edge_count == 2 * n - 3,

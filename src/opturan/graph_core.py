@@ -476,9 +476,9 @@ def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
     chord list equals canonical_chords of its orbit, and hosts come in
     ascending order of that list.
 
-    The orbits are generated, not filtered out of enumerate_mops: see
-    `_orbit_keys`.  Use it only for sweeps whose result is a graph
-    invariant.
+    The package's one orbit stream, generated by `_orbit_keys`, not
+    filtered out of enumerate_mops; its ceiling holds under --unsafe-scale.
+    Use it only for sweeps whose result is a graph invariant.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")

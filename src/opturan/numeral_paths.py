@@ -167,18 +167,19 @@ def _numeral_stream(base: int, width: int, limit: int | None = HOST_VERTEX_LIMIT
 def _numeral_adjacency(base: int, width: int) -> tuple[int, Callable[[int, int], bool]]:
     """The vertex count n of numeral_graph(base, width) and a test
     adjacent(x, y) that answers on 0..n-1 as the host's graph does,
-    without building the host.  The checked stream (`_numeral_stream`) is
-    read a second time to keep one int per left end a, with bit b - a set
-    for each chord (a, b).  A left end with t trailing zeros has chords
-    spanning at most base**t, so the ints hold about n*width bits in all."""
+    without building the host.  A second pass of the checked stream keeps
+    each left end a's span (bit b - a per chord (a, b)) in slot a // base; a
+    span rests on a's trailing zeros and chain, so equal ones share an int."""
     n, chords = _numeral_stream(base, width)
-    spans: dict[int, int] = {}
-    for a, b in chords():
-        spans[a] = spans.get(a, 0) | 1 << (b - a)
+    spans, shared = [0] * (n // base), {}
+    for a, ends in itertools.groupby(chords(), lambda chord: chord[0]):
+        span = sum(1 << (b - a) for _, b in ends)
+        spans[a // base] = shared.setdefault(span, span)
 
     def adjacent(x: int, y: int) -> bool:
-        d = abs(x - y)
-        return d == 1 or d == n - 1 or bool(spans.get(min(x, y), 0) >> d & 1)
+        lo, d = (x, y - x) if x < y else (y, x - y)
+        return d == 1 or d == n - 1 or (
+            0 <= lo < n and not lo % base and bool(spans[lo // base] >> d & 1))
 
     return n, adjacent
 

@@ -151,6 +151,8 @@ def test_cli_stdout_is_unchanged(capture, argv, tmp_path, monkeypatch):
     for name, text in CLI_STDOUT["files"].items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
+    if CLI_STDOUT["runs"][argv]["exit"] == 2:  # a refusal comes before any orbit is keyed
+        monkeypatch.setattr(graph_core, "_orbit_key", _keys_no_orbit)
     code, out, err = capture(*argv.split())
     assert {"exit": code, "stdout": out, "stderr": err} == CLI_STDOUT["runs"][argv]
 
@@ -687,6 +689,26 @@ def test_extremal_past_the_stream_depth_exits_two(capture):
         "deepest triangulation stream the recursion limit allows"]
 
 
+def _keys_no_orbit(*args):
+    raise AssertionError("an orbit was keyed")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_extremal_past_the_orbit_ceiling_exits_two(capture, monkeypatch, jobs):
+    # --unsafe-scale lifts the brute-force guard, not the orbit stream's
+    # ceiling, which refuses before any orbit is keyed or host counted
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so --jobs 2 starts two workers
+    monkeypatch.setattr(graph_core, "_orbit_key", _keys_no_orbit)
+    monkeypatch.setattr(extremal_search, "count_patterns", _keys_no_orbit)
+    code, out, err = capture("extremal", "-n", "17", "--pattern", "path:2",
+                             "--unsafe-scale", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "warning: --unsafe-scale lifts the brute-force guard",
+        "extremal: polygon size n=17 exceeds the desk-scale guard 16; "
+        "lower n (enumerate_mop_orbits takes no limit)"]
+
+
 def test_verify_exit_codes(capture):
     code, out, _ = capture("verify", "--suite", "counterexample-6")
     assert code == 0 and "overall: pass" in out
@@ -870,6 +892,7 @@ PAST_C_TABLE = str(cli.C_TABLE_K_LIMIT + 1)  # c-table's --max-k, one past its t
 # a host past gen's vertex guard, in each family (drawn without --unsafe-scale)
 PAST_GEN = [["--fan", "1000001"], ["--triple-fan", "1000002"], ["--numeral", "1001", "2"]]
 PAST_GREEDY = str(graph_core.HOST_VERTEX_LIMIT + 1)  # greedy's -n, one past its top
+PAST_ORBITS = str(graph_core.MOP_ENUM_LIMIT + 1)  # past the orbit stream's ceiling
 
 
 @pytest.fixture(scope="module")
@@ -940,8 +963,12 @@ def _argv(files: Path):
         seq(st.just(["gamma"]), req("-L", ints(-2, 9)), req("-t", ints(-1, 7)),
             flag("--enumerate"), flag("--unsafe-scale"), fmt),
         seq(st.just(["inject"]), inject, flag("--all-seqs"), fmt),
-        seq(st.just(["extremal"]), req("-n", ints(-1, 8)), pattern, flag("--no-dedup"),
-            jobs, flag("--unsafe-scale"), fmt),
+        seq(st.just(["extremal"]), st.one_of(
+            seq(req("-n", ints(-1, 8)), pattern, flag("--no-dedup"), flag("--unsafe-scale")),
+            # sweeps on the orbit stream, whose ceiling --unsafe-scale does not lift
+            seq(st.just(["-n", PAST_ORBITS, "--unsafe-scale"]), st.sampled_from(
+                [["--pattern", "path:2"], ["--pattern", f"tree:{files / 'star.txt'}"],
+                 ["--pattern", "cycle:3", "--no-dedup"]]))), jobs, fmt),
         seq(st.just(["verify"]), req("--suite", st.sampled_from(cheap_suites)),
             opt("--max-n", ints(-1, 8)), opt("--max-k", ints(-1, 20)), params, past, jobs, fmt),
         seq(st.just(["verify", "--suite", "gamma"]), req("--max-l", ints(-1, 6)),
@@ -955,8 +982,11 @@ def test_exit_code_contract(argv_dir, data):
     """0 success, 1 a failing verification only, 2 usage or input error, and
     never a traceback; a refused call writes nothing to stdout."""
     argv = data.draw(_argv(argv_dir))
+    past_orbits = argv[:3] == ["extremal", "-n", PAST_ORBITS]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        if past_orbits:  # refused before any orbit is keyed
+            mp.setattr(graph_core, "_orbit_key", _keys_no_orbit)
         code = run(argv)  # an exception here would be a traceback at the shell
     assert code in (0, 1, 2)
     assert code != 1 or argv[0] == "verify"
@@ -967,4 +997,5 @@ def test_exit_code_contract(argv_dir, data):
     assert code == 2 or argv[:1] != ["gen"] or not any(
         argv[1:1 + len(past)] == past for past in PAST_GEN)
     assert code == 2 or argv[:1] != ["greedy"] or PAST_GREEDY not in argv
+    assert code == 2 or not past_orbits
     assert code == 2 or not any(arg.endswith("huge.txt") for arg in argv)

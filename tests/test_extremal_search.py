@@ -280,6 +280,25 @@ def test_brute_force_guards():
     assert brute_force_maximum(12, Pattern.cycle(3), limit=None).maximum == 10
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_orbit_sweeps_meet_the_stream_ceiling_before_any_host(monkeypatch, jobs):
+    # limit=None lifts the brute-force guard, not the orbit stream's own;
+    # the spies fail a sweep that keys an orbit or counts a host, and forked
+    # workers inherit them
+    def spy(*args):
+        raise AssertionError("the sweep started past the orbit stream's ceiling")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so jobs=2 starts two workers
+    monkeypatch.setattr(graph_core, "_orbit_key", spy)
+    monkeypatch.setattr(extremal_search, "count_patterns", spy)
+    for patterns, dedup in (([Pattern.path(2)], True), ([K13], True),
+                            ([Pattern.cycle(3)], False)):
+        with pytest.raises(ScaleLimitError) as err:
+            brute_force_many(17, patterns, dedup=dedup, jobs=jobs, limit=None)
+        assert str(err.value) == ("polygon size n=17 exceeds the desk-scale guard 16; "
+                                  "lower n (enumerate_mop_orbits takes no limit)")
+
+
 @pytest.mark.parametrize("suite", ["cycle-bijection", "cycle-closed-forms",
                                    "greedy-optimality", "p3-exact"])
 def test_suite_guard_fires_before_the_first_host(monkeypatch, suite):
@@ -288,7 +307,7 @@ def test_suite_guard_fires_before_the_first_host(monkeypatch, suite):
 
     # labelled hosts (cycle sweeps) and orbit representatives (path sweeps)
     monkeypatch.setattr(extremal_search, "enumerate_mops", spy)
-    monkeypatch.setattr(extremal_search, "_orbit_keys", spy)
+    monkeypatch.setattr(extremal_search, "enumerate_mop_orbits", spy)
     with pytest.raises(AssertionError, match="enumerated hosts"):
         verify_suite(suite, max_n=5)  # the spies sit on the suite's route
     with pytest.raises(ScaleLimitError) as err:

@@ -43,8 +43,7 @@ CROSS_MODULE_PRIVATES = {
     ("cli", "graph_core"): {"_check_sorted_chords", "_dot_lines", "_edge_list_lines",
                             "_fan_chords", "_sorted_edges", "_triple_fan_chords"},
     ("cli", "numeral_paths"): {"_numeral_stream"},
-    ("extremal_search", "graph_core"): {"_decode", "_dihedral_images", "_dual_subtree_counts",
-                                        "_orbit_keys", "_sorted_edges", "_walk"},
+    ("extremal_search", "graph_core"): {"_dihedral_images", "_dual_subtree_counts", "_walk"},
     ("extremal_search", "numeral_paths"): {"_numeral_adjacency", "_numeral_stream"},
     ("numeral_paths", "graph_core"): {"_check_sorted_chords"},
 }
