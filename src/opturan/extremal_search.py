@@ -115,13 +115,13 @@ class ExtremalResult:
 def _scan_share(n: int, patterns: tuple[Pattern, ...], orbits: bool,
                 j: int = 0, w: int = 1) -> list[tuple[int, set]]:
     """Each pattern's largest count over the hosts j, j + w, j + 2w, ... of
-    the sweep's stream (`enumerate_mop_orbits`, whose ceiling no limit
-    lifts, or every labelled host), with the set of canonical chord tuples
-    of the classes attaining it.  An orbit representative's sorted chords
-    are already canonical; a labelled host is canonicalised, at most once,
-    only when it ties or beats some pattern's running maximum."""
-    hosts = islice(enumerate_mop_orbits(n) if orbits else enumerate_mops(n, limit=None),
-                   j, None, w)
+    the sweep's stream (`enumerate_mop_orbits` or `enumerate_mops`, which
+    both refuse n past their one ceiling, 16, before the first host), with
+    the set of canonical chord tuples of the classes attaining it.  An
+    orbit representative's sorted chords are already canonical; a labelled
+    host is canonicalised, at most once, only when it ties or beats some
+    pattern's running maximum."""
+    hosts = islice(enumerate_mop_orbits(n) if orbits else enumerate_mops(n), j, None, w)
     best = [-1] * len(patterns)
     arg = [set() for _ in patterns]
     for mop in hosts:
@@ -179,8 +179,8 @@ def brute_force_many(n: int, patterns: Iterable[Pattern], *, dedup: bool = True,
     of 4862) from the one orbit stream, `enumerate_mop_orbits`, whose
     sorted chords are already canonical.
 
-    limit=0 picks the guard matching the pattern kinds; None disables it
-    but not the orbit stream's ceiling (16), met before the first host.
+    limit=0 picks the guard matching the pattern kinds; None lifts it only
+    up to both host streams' ceiling (16), met before the first host.
     """
     patterns = tuple(patterns)
     trees = [p for p in patterns if p.kind == "tree"]

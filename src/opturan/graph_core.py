@@ -23,7 +23,6 @@ oracle, not to be fast.
 
 from __future__ import annotations
 
-import sys
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from itertools import chain, islice, pairwise
 from math import comb
 from typing import Iterable, Iterator
 
-from .guards import ScaleLimitError, check_limit
+from .guards import check_limit
 
 __all__ = [
     "MopError",
@@ -455,16 +454,15 @@ def _triangulation_chords(lo: int, hi: int) -> Iterator[tuple]:
                 yield left + right + own
 
 
-def enumerate_mops(n: int, limit: int | None = MOP_ENUM_LIMIT) -> Iterator[Mop]:
+def enumerate_mops(n: int) -> Iterator[Mop]:
     """Every labeled triangulation of the convex n-gon, exactly once
-    (catalan(n-2) of them), each on one chord frozenset that `Mop` keeps."""
+    (catalan(n-2) of them), each on one chord frozenset that `Mop` keeps.
+    Like enumerate_mop_orbits, it takes no limit and refuses n past
+    MOP_ENUM_LIMIT before the first host."""
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-    check_limit(n, limit, "polygon size n")
-    depth = sys.getrecursionlimit() // 2  # _triangulation_chords nests n generators
-    if n > depth:
-        raise ValueError(f"polygon size n={n} exceeds {depth}, the deepest "
-                         "triangulation stream the recursion limit allows")
+    check_limit(n, MOP_ENUM_LIMIT, "polygon size n",
+                hint="lower n (enumerate_mops takes no limit)")
     for chords in _triangulation_chords(0, n - 1):
         yield Mop(n, frozenset(chords))
 
@@ -477,16 +475,13 @@ def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
     ascending order of that list.
 
     The package's one orbit stream, generated by `_orbit_keys`, not
-    filtered out of enumerate_mops; its ceiling holds under --unsafe-scale.
-    Use it only for sweeps whose result is a graph invariant.
+    filtered out of enumerate_mops, with the same ceiling, which no limit
+    lifts.  Use it only for sweeps whose result is a graph invariant.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-    try:
-        check_limit(n, MOP_ENUM_LIMIT, "polygon size n")
-    except ScaleLimitError as exc:
-        exc.hint = "lower n (enumerate_mop_orbits takes no limit)"
-        raise
+    check_limit(n, MOP_ENUM_LIMIT, "polygon size n",
+                hint="lower n (enumerate_mop_orbits takes no limit)")
     for key in _orbit_keys(n):
         yield Mop(n, frozenset(_decode(n, key)))
 
@@ -1131,11 +1126,8 @@ def parse_edge_list(text: str) -> Graph:
     if first is None:
         raise ValueError("empty edge list")
     (n,) = _line_ints(*first, 1, "the vertex count n")
-    try:
-        check_limit(n, HOST_VERTEX_LIMIT, "edge-list vertex count n")
-    except ScaleLimitError as exc:
-        exc.hint = "lower the value (parse_edge_list takes no limit)"
-        raise
+    check_limit(n, HOST_VERTEX_LIMIT, "edge-list vertex count n",
+                hint="lower the value (parse_edge_list takes no limit)")
     return Graph(n, [_line_ints(i, ln, 2, "'u v'") for i, ln in lines])
 
 

@@ -151,8 +151,9 @@ def test_cli_stdout_is_unchanged(capture, argv, tmp_path, monkeypatch):
     for name, text in CLI_STDOUT["files"].items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    if CLI_STDOUT["runs"][argv]["exit"] == 2:  # a refusal comes before any orbit is keyed
-        monkeypatch.setattr(graph_core, "_orbit_key", _keys_no_orbit)
+    if CLI_STDOUT["runs"][argv]["exit"] == 2:  # a refusal keys no orbit and counts no host
+        monkeypatch.setattr(graph_core, "_orbit_key", _sweeps_nothing)
+        monkeypatch.setattr(extremal_search, "count_patterns", _sweeps_nothing)
     code, out, err = capture(*argv.split())
     assert {"exit": code, "stdout": out, "stderr": err} == CLI_STDOUT["runs"][argv]
 
@@ -677,36 +678,38 @@ def test_extremal_guard_and_unsafe(capture):
     assert code == 2 and "guard" in err and "(CLI: --unsafe-scale) to override" in err
 
 
-def test_extremal_past_the_stream_depth_exits_two(capture):
-    # the labelled triangulation stream nests one generator per polygon
-    # vertex; past the recursion limit's reach it refuses the size
+def test_extremal_far_past_the_stream_ceiling_exits_two(capture):
+    # the labelled triangulation stream's ceiling holds at any size, far
+    # past where its nested generators would overflow the recursion limit
     code, out, err = capture("extremal", "-n", "1100", "--pattern", "cycle:3",
                              "--unsafe-scale")
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         "warning: --unsafe-scale lifts the brute-force guard",
-        f"extremal: polygon size n=1100 exceeds {sys.getrecursionlimit() // 2}, the "
-        "deepest triangulation stream the recursion limit allows"]
+        "extremal: polygon size n=1100 exceeds the desk-scale guard 16; "
+        "lower n (enumerate_mops takes no limit)"]
 
 
-def _keys_no_orbit(*args):
-    raise AssertionError("an orbit was keyed")
+def _sweeps_nothing(*args):
+    raise AssertionError("a sweep keyed an orbit or counted a host")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_extremal_past_the_orbit_ceiling_exits_two(capture, monkeypatch, jobs):
-    # --unsafe-scale lifts the brute-force guard, not the orbit stream's
-    # ceiling, which refuses before any orbit is keyed or host counted
+    # --unsafe-scale lifts the brute-force guard, not the host streams'
+    # ceiling, which refuses before any orbit is keyed or host counted, on
+    # the orbit stream (path:2) and the labelled one (deduped cycle:3)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so --jobs 2 starts two workers
-    monkeypatch.setattr(graph_core, "_orbit_key", _keys_no_orbit)
-    monkeypatch.setattr(extremal_search, "count_patterns", _keys_no_orbit)
-    code, out, err = capture("extremal", "-n", "17", "--pattern", "path:2",
-                             "--unsafe-scale", "--jobs", jobs)
-    assert (code, out) == (2, "")
-    assert err.splitlines() == [
-        "warning: --unsafe-scale lifts the brute-force guard",
-        "extremal: polygon size n=17 exceeds the desk-scale guard 16; "
-        "lower n (enumerate_mop_orbits takes no limit)"]
+    monkeypatch.setattr(graph_core, "_orbit_key", _sweeps_nothing)
+    monkeypatch.setattr(extremal_search, "count_patterns", _sweeps_nothing)
+    for pattern, stream in (("path:2", "enumerate_mop_orbits"), ("cycle:3", "enumerate_mops")):
+        code, out, err = capture("extremal", "-n", "17", "--pattern", pattern,
+                                 "--unsafe-scale", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "warning: --unsafe-scale lifts the brute-force guard",
+            "extremal: polygon size n=17 exceeds the desk-scale guard 16; "
+            f"lower n ({stream} takes no limit)"]
 
 
 def test_verify_exit_codes(capture):
@@ -892,7 +895,7 @@ PAST_C_TABLE = str(cli.C_TABLE_K_LIMIT + 1)  # c-table's --max-k, one past its t
 # a host past gen's vertex guard, in each family (drawn without --unsafe-scale)
 PAST_GEN = [["--fan", "1000001"], ["--triple-fan", "1000002"], ["--numeral", "1001", "2"]]
 PAST_GREEDY = str(graph_core.HOST_VERTEX_LIMIT + 1)  # greedy's -n, one past its top
-PAST_ORBITS = str(graph_core.MOP_ENUM_LIMIT + 1)  # past the orbit stream's ceiling
+PAST_ORBITS = str(graph_core.MOP_ENUM_LIMIT + 1)  # past the host streams' ceiling
 
 
 @pytest.fixture(scope="module")
@@ -965,10 +968,11 @@ def _argv(files: Path):
         seq(st.just(["inject"]), inject, flag("--all-seqs"), fmt),
         seq(st.just(["extremal"]), st.one_of(
             seq(req("-n", ints(-1, 8)), pattern, flag("--no-dedup"), flag("--unsafe-scale")),
-            # sweeps on the orbit stream, whose ceiling --unsafe-scale does not lift
+            # sweeps on either host stream, whose ceiling --unsafe-scale does not lift
             seq(st.just(["-n", PAST_ORBITS, "--unsafe-scale"]), st.sampled_from(
                 [["--pattern", "path:2"], ["--pattern", f"tree:{files / 'star.txt'}"],
-                 ["--pattern", "cycle:3", "--no-dedup"]]))), jobs, fmt),
+                 ["--pattern", "cycle:3", "--no-dedup"], ["--pattern", "cycle:3"]]))),
+            jobs, fmt),
         seq(st.just(["verify"]), req("--suite", st.sampled_from(cheap_suites)),
             opt("--max-n", ints(-1, 8)), opt("--max-k", ints(-1, 20)), params, past, jobs, fmt),
         seq(st.just(["verify", "--suite", "gamma"]), req("--max-l", ints(-1, 6)),
@@ -985,8 +989,9 @@ def test_exit_code_contract(argv_dir, data):
     past_orbits = argv[:3] == ["extremal", "-n", PAST_ORBITS]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
-        if past_orbits:  # refused before any orbit is keyed
-            mp.setattr(graph_core, "_orbit_key", _keys_no_orbit)
+        if past_orbits:  # refused before any orbit is keyed or host counted
+            mp.setattr(graph_core, "_orbit_key", _sweeps_nothing)
+            mp.setattr(extremal_search, "count_patterns", _sweeps_nothing)
         code = run(argv)  # an exception here would be a traceback at the shell
     assert code in (0, 1, 2)
     assert code != 1 or argv[0] == "verify"

@@ -282,21 +282,24 @@ def test_brute_force_guards():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_orbit_sweeps_meet_the_stream_ceiling_before_any_host(monkeypatch, jobs):
-    # limit=None lifts the brute-force guard, not the orbit stream's own;
-    # the spies fail a sweep that keys an orbit or counts a host, and forked
-    # workers inherit them
+    # limit=None lifts the brute-force guard, not the host streams' one
+    # ceiling, on the orbit route or the labelled one (a deduped all-cycle
+    # sweep); the spies fail a sweep that keys an orbit or counts a host,
+    # and forked workers inherit them
     def spy(*args):
-        raise AssertionError("the sweep started past the orbit stream's ceiling")
+        raise AssertionError("the sweep started past the host stream's ceiling")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so jobs=2 starts two workers
     monkeypatch.setattr(graph_core, "_orbit_key", spy)
     monkeypatch.setattr(extremal_search, "count_patterns", spy)
-    for patterns, dedup in (([Pattern.path(2)], True), ([K13], True),
-                            ([Pattern.cycle(3)], False)):
+    for patterns, dedup, stream in (([Pattern.path(2)], True, "enumerate_mop_orbits"),
+                                    ([K13], True, "enumerate_mop_orbits"),
+                                    ([Pattern.cycle(3)], False, "enumerate_mop_orbits"),
+                                    ([Pattern.cycle(3)], True, "enumerate_mops")):
         with pytest.raises(ScaleLimitError) as err:
             brute_force_many(17, patterns, dedup=dedup, jobs=jobs, limit=None)
         assert str(err.value) == ("polygon size n=17 exceeds the desk-scale guard 16; "
-                                  "lower n (enumerate_mop_orbits takes no limit)")
+                                  f"lower n ({stream} takes no limit)")
 
 
 @pytest.mark.parametrize("suite", ["cycle-bijection", "cycle-closed-forms",

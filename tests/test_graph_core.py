@@ -339,14 +339,17 @@ def test_enumerate_mops_guard():
         next(enumerate_mops(2))
 
 
-def test_enumerate_mops_depth_ceiling():
-    # the stream nests one generator per polygon vertex: up to the ceiling
-    # it yields, past it it refuses the size instead of overflowing
-    depth = sys.getrecursionlimit() // 2
-    first = next(enumerate_mops(depth, limit=None))
-    assert first.n == depth and len(first.chords) == depth - 3
-    with pytest.raises(ValueError, match=f"polygon size n={depth + 1} exceeds {depth},"):
-        next(enumerate_mops(depth + 1, limit=None))
+def test_enumerate_mops_ceiling_takes_no_limit():
+    # one ceiling for both host streams: it yields up to 16, refuses 17
+    # before the first host, and no limit lifts it
+    first = next(enumerate_mops(16))
+    assert first.n == 16 and len(first.chords) == 13
+    with pytest.raises(ScaleLimitError) as err:
+        next(enumerate_mops(17))
+    assert str(err.value) == ("polygon size n=17 exceeds the desk-scale guard 16; "
+                              "lower n (enumerate_mops takes no limit)")
+    with pytest.raises(TypeError):
+        enumerate_mops(17, limit=None)
 
 
 # dihedral orbits of polygon triangulations, n = 3..12 (OEIS A000207)

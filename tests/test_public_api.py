@@ -94,3 +94,25 @@ def test_every_import_is_used():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def _scale_refusal_handlers(node: ast.AST, where: str):
+    """The name of the innermost function around each `except` clause that
+    catches ScaleLimitError under node ("<module>" outside any function)."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.ExceptHandler) and child.type is not None
+                and "ScaleLimitError" in ast.unparse(child.type)):
+            yield where
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _scale_refusal_handlers(child, inner)
+
+
+def test_only_entry_points_rewrite_a_refusal():
+    # a ceiling that no caller can lift raises with its own hint
+    # (check_limit's hint=); only verify_suite and the CLI rewrite the
+    # refusals raised below them
+    handlers = sorted((module.__name__.rpartition(".")[2], where) for module in MODULES
+                      for where in _scale_refusal_handlers(
+                          ast.parse(Path(module.__file__).read_text(encoding="utf-8")),
+                          "<module>"))
+    assert handlers == [("cli", "run"), ("extremal_search", "verify_suite")]
