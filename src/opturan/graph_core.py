@@ -54,7 +54,6 @@ __all__ = [
     "paths_between_histogram",
     "subgraph_count",
     "count_patterns",
-    "is_outerplanar_small",
     "fan",
     "fan_path_count",
     "triple_fan",
@@ -458,9 +457,8 @@ def enumerate_mops(n: int) -> Iterator[Mop]:
     """Every labeled triangulation of the convex n-gon, exactly once
     (catalan(n-2) of them), each on one chord frozenset that `Mop` keeps.
     Like enumerate_mop_orbits, it takes no limit and refuses n past
-    MOP_ENUM_LIMIT before the first host."""
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+    MOP_ENUM_LIMIT before the first host; below 3 it yields one empty
+    chord set, which `Mop` refuses."""
     check_limit(n, MOP_ENUM_LIMIT, "polygon size n",
                 hint="lower n (enumerate_mops takes no limit)")
     for chords in _triangulation_chords(0, n - 1):
@@ -476,10 +474,9 @@ def enumerate_mop_orbits(n: int) -> Iterator[Mop]:
 
     The package's one orbit stream, generated by `_orbit_keys`, not
     filtered out of enumerate_mops, with the same ceiling, which no limit
-    lifts.  Use it only for sweeps whose result is a graph invariant.
+    lifts, and the same refusal by `Mop` below 3.  Use it only for sweeps
+    whose result is a graph invariant.
     """
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     check_limit(n, MOP_ENUM_LIMIT, "polygon size n",
                 hint="lower n (enumerate_mop_orbits takes no limit)")
     for key in _orbit_keys(n):
@@ -833,8 +830,8 @@ class Pattern:
     def graph(self) -> Graph:
         """The pattern as a plain graph, size-guarded for the generic
         counter."""
-        if self.n > PATTERN_SIZE_LIMIT:
-            raise ValueError(f"pattern on {self.n} vertices exceeds the guard {PATTERN_SIZE_LIMIT}")
+        check_limit(self.n, PATTERN_SIZE_LIMIT, "pattern vertex count n",
+                    hint="lower n (Pattern.graph takes no limit)")
         if self.kind == "cycle":
             return Graph(self.n, [(i, (i + 1) % self.n) for i in range(self.n)])
         if self.kind == "path":
@@ -850,34 +847,27 @@ class Pattern:
 
 
 def _embedding_order(h: Graph) -> list[int]:
-    """Pattern vertices ordered so each one touches an earlier one; only
-    when no unplaced vertex does, the next one starts a new component."""
+    """The vertices of the connected pattern h, a vertex of top degree
+    first, ordered so that each later one touches an earlier one."""
     order = [max(range(h.n), key=lambda v: (h.degree(v), -v))]
     placed = set(order)
     while len(order) < h.n:
-        nxt = max(
-            (v for v in range(h.n) if v not in placed
-             and any(w in placed for w in h.neighbors(v))),
-            key=lambda v: (sum(w in placed for w in h.neighbors(v)), h.degree(v), -v),
-            default=None,
-        )
-        if nxt is None:
-            nxt = max((v for v in range(h.n) if v not in placed),
-                      key=lambda v: (h.degree(v), -v))
+        nxt = max((v for v in range(h.n) if v not in placed
+                   and any(w in placed for w in h.neighbors(v))),
+                  key=lambda v: (sum(w in placed for w in h.neighbors(v)), h.degree(v), -v))
         order.append(nxt)
         placed.add(nxt)
     return order
 
 
-def _count_injective_maps(g: Graph, h: Graph, stop_at: int | None = None) -> int:
-    """Injective maps V(h) -> V(g) sending every pattern edge to a host
-    edge.  stop_at short-circuits existence queries: the count is then
-    min(stop_at, maps).
+def _count_injective_maps(g: Graph, h: Graph) -> int:
+    """Injective maps V(h) -> V(g) sending every edge of the connected
+    pattern h to a host edge, all of them counted.
 
-    Position i of the embedding order takes its candidates from the host
-    neighbours of its first anchor's image (every host vertex when it has
-    no anchor), so only its further anchors need an adjacency test; in a
-    tree pattern no vertex has one.  The last position's candidates are
+    Position i > 0 of the embedding order takes its candidates from the
+    host neighbours of its first anchor's image (position 0 takes every
+    host vertex), so only its further anchors need an adjacency test; in
+    a tree pattern no vertex has one.  The last position's candidates are
     counted, not placed.
     """
     order = _embedding_order(h)
@@ -910,11 +900,9 @@ def _count_injective_maps(g: Graph, h: Graph, stop_at: int | None = None) -> int
             used[w] = True
             place(i + 1)
             used[w] = False
-            if stop_at is not None and count >= stop_at:
-                return
 
     place(0)
-    return count if stop_at is None else min(count, stop_at)
+    return count
 
 
 def subgraph_count(g: Graph, pattern: Pattern) -> int:
@@ -940,23 +928,6 @@ def count_patterns(g: Graph, patterns) -> list[int]:
     return [chist.get(p.size, 0) if p.kind == "cycle"
             else phist.get(p.size, 0) if p.kind == "path"
             else subgraph_count(g, p) for p in patterns]
-
-
-def is_outerplanar_small(g: Graph) -> bool:
-    """Desk-scale outerplanarity test: a graph on n >= 3 vertices,
-    connected or not, is outerplanar iff it embeds into some triangulation
-    of the n-gon."""
-    if g.n > 8:
-        raise ValueError(f"outerplanarity check guarded at 8 vertices, got {g.n}")
-    if g.n <= 2:
-        return True
-    if len(g.edges) > 2 * g.n - 3:
-        return False
-    # embedding into a host is invariant under relabeling it
-    for mop in enumerate_mop_orbits(g.n):
-        if _count_injective_maps(mop.graph, g, stop_at=1):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

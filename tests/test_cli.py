@@ -323,13 +323,20 @@ def test_tree_pattern_size_guard(capture, tmp_path):
     tree_file.write_text("11\n" + "".join(f"{i} {i + 1}\n" for i in range(10)))
     graph_file = tmp_path / "fan8.txt"
     graph_file.write_text(capture("gen", "--fan", "8")[1])
-    message = "pattern on 11 vertices exceeds the guard 10"
+    reason = "pattern vertex count n=11 exceeds the desk-scale guard 10"
     code, out, err = capture("count", "--graph", str(graph_file),
                              "--pattern", f"tree:{tree_file}")
-    assert (code, out) == (2, "") and message in err
+    assert (code, out, err) == (
+        2, "", f"count: {reason}; lower the value (count has no --unsafe-scale)\n")
+    refusal = f"extremal: {reason}; lower n (Pattern.graph takes no limit)\n"
     for n in ("9", "2"):  # n = 2 has no host at all
         code, out, err = capture("extremal", "-n", n, "--pattern", f"tree:{tree_file}")
-        assert (code, out) == (2, "") and message in err
+        assert (code, out, err) == (2, "", refusal)
+    # no flag lifts this guard: --unsafe-scale lifts the brute-force one only
+    code, out, err = capture("extremal", "-n", "9", "--pattern", f"tree:{tree_file}",
+                             "--unsafe-scale")
+    assert (code, out, err) == (
+        2, "", "warning: --unsafe-scale lifts the brute-force guard\n" + refusal)
 
 
 def test_count_missing_file(capture):

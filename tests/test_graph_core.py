@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,7 +42,6 @@ from opturan.graph_core import (
     fan_path_count,
     format_edge_list,
     graph_to_dot,
-    is_outerplanar_small,
     parse_edge_list,
     path_histogram,
     paths_between_histogram,
@@ -335,8 +335,10 @@ def test_enumerate_mops_matches_reference_stream_in_order():
 def test_enumerate_mops_guard():
     with pytest.raises(ScaleLimitError):
         next(enumerate_mops(17))
-    with pytest.raises(ValueError):
+    # below 3 the stream yields one empty chord set, which Mop refuses
+    with pytest.raises(MopError) as err:
         next(enumerate_mops(2))
+    assert str(err.value) == "polygon needs at least 3 vertices, got 2"
 
 
 def test_enumerate_mops_ceiling_takes_no_limit():
@@ -445,8 +447,9 @@ def test_enumerate_mop_orbits_guard():
     reason = "polygon size n=17 exceeds the desk-scale guard 16"
     assert err.value.args[0] == reason
     assert str(err.value) == f"{reason}; lower n (enumerate_mop_orbits takes no limit)"
-    with pytest.raises(ValueError):
+    with pytest.raises(MopError) as err:
         next(enumerate_mop_orbits(2))
+    assert str(err.value) == "polygon needs at least 3 vertices, got 2"
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +538,11 @@ def test_pattern_graph_is_plain_and_built_once():
     assert type(pattern.graph) is Graph
     assert pattern.graph is pattern.graph
     assert pattern.graph == star_tree()
-    with pytest.raises(ValueError, match="pattern on 11 vertices exceeds the guard 10"):
+    # no limit lifts the guard, so the hint says to lower n
+    with pytest.raises(ScaleLimitError) as err:
         subgraph_count(fan(5).graph, Pattern.path(10))
+    assert str(err.value) == ("pattern vertex count n=11 exceeds the desk-scale guard 10; "
+                              "lower n (Pattern.graph takes no limit)")
 
 
 @settings(max_examples=30, deadline=None)
@@ -753,13 +759,14 @@ def test_walk_matches_the_frame_per_level_walk_on_subsets_and_relabellings(data)
 
 
 def _reference_injective_maps(g, h, stop_at=None):
-    """`_count_injective_maps` with an image dict, an adjacency test on
-    every anchor and one call per placed position, the last included."""
-    order = graph_core._embedding_order(h)
-    anchor = []
-    for i, v in enumerate(order):
-        before = set(order[:i])
-        anchor.append([w for w in h.neighbors(v) if w in before])
+    """The injective maps V(h) -> V(g) that send every edge of h to an
+    edge of g, at most stop_at of them: `_count_injective_maps` with the
+    pattern's vertices in label order, an image dict, an adjacency test on
+    every anchor and one call per placed position, the last included.  A
+    position with no anchor takes every host vertex, so h may be
+    disconnected."""
+    order = range(h.n)
+    anchor = [[w for w in h.neighbors(v) if w < v] for v in order]
     image = {}
     used = [False] * g.n
     count = 0
@@ -792,14 +799,12 @@ def test_injective_maps_match_the_reference_on_every_small_orbit_host():
     assert len(patterns) == 25  # the free trees on 1..7 vertices
     patterns += [Pattern.cycle(k).graph for k in range(3, 9)]
     patterns += [Pattern.path(k).graph for k in range(1, 8)]
-    patterns.append(Graph(4, [(0, 1), (2, 3)]))  # disconnected, as is_outerplanar_small passes
     for n in range(3, 9):
         for m in enumerate_mop_orbits(n):
             g = m.graph
             for h in patterns:
                 total = _reference_injective_maps(g, h)
                 assert _count_injective_maps(g, h) == total, (g.edges, h.edges)
-                assert _count_injective_maps(g, h, stop_at=1) == min(1, total)
                 assert _reference_injective_maps(g, h, stop_at=1) == min(1, total)
 
 
@@ -1012,6 +1017,21 @@ def test_star_blowup_rejects_bad_patterns():
         star_blowup(Pattern.path(1), 2)  # no internal vertex
 
 
+def is_outerplanar_small(g):
+    """Desk-scale outerplanarity test: a graph on n >= 3 vertices,
+    connected or not, is outerplanar iff it embeds into some triangulation
+    of the n-gon."""
+    if g.n > 8:
+        raise ValueError(f"outerplanarity check guarded at 8 vertices, got {g.n}")
+    if g.n <= 2:
+        return True
+    if len(g.edges) > 2 * g.n - 3:
+        return False
+    # embedding into a host is invariant under relabeling it
+    return any(_reference_injective_maps(mop.graph, g, stop_at=1)
+               for mop in enumerate_mop_orbits(g.n))
+
+
 def test_is_outerplanar_small():
     assert is_outerplanar_small(fan(6).graph)
     assert is_outerplanar_small(Pattern.cycle(5).graph)
@@ -1024,6 +1044,23 @@ def test_is_outerplanar_small():
     assert is_outerplanar_small(Graph(2, []))
     assert not is_outerplanar_small(Graph(6, itertools.combinations(range(5), 2)))
     assert not is_outerplanar_small(Graph(5, k4))  # reaches the embedding search
+
+
+def test_is_outerplanar_small_matches_apex_planarity_on_the_atlas():
+    # G is outerplanar iff G plus one vertex joined to all of G is planar
+    # (every graph on 1..7 vertices, up to isomorphism)
+    atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    assert len(atlas) == 1252
+    outerplanar = 0
+    for a in atlas:
+        n = a.number_of_nodes()
+        apex = nx.Graph(a)
+        apex.add_edges_from((n, v) for v in range(n))
+        want = nx.check_planarity(apex)[0]
+        g = Graph(n, [(min(e), max(e)) for e in a.edges])
+        assert is_outerplanar_small(g) == want, sorted(g.edges)
+        outerplanar += want
+    assert outerplanar == 399
 
 
 # ---------------------------------------------------------------------------

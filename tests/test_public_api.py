@@ -116,3 +116,39 @@ def test_only_entry_points_rewrite_a_refusal():
                           ast.parse(Path(module.__file__).read_text(encoding="utf-8")),
                           "<module>"))
     assert handlers == [("cli", "run"), ("extremal_search", "verify_suite")]
+
+
+
+def _builds_refusal(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "ScaleLimitError"
+
+
+def _raises(node: ast.AST, where: str):
+    """(function, node) for each `raise` and each `ScaleLimitError(...)`
+    under node, with the name of the innermost function around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) or _builds_refusal(child):
+            yield where, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _raises(child, inner)
+
+
+def test_every_size_guard_refuses_through_check_limit():
+    # a refusal past a size bound is a ScaleLimitError built by
+    # check_limit, or by _numeral_size, which refuses base**width before
+    # computing it; no other raise names a guard
+    builders = {("guards", "check_limit"), ("numeral_paths", "_numeral_size")}
+    stray = []
+    for module in MODULES:
+        name = module.__name__.rpartition(".")[2]
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for where, node in _raises(tree, "<module>"):
+            if isinstance(node, ast.Call):
+                bad = (name, where) not in builders
+            else:
+                bad = (node.exc is not None and not _builds_refusal(node.exc)
+                       and any(isinstance(c, ast.Constant) and "guard" in str(c.value)
+                               for c in ast.walk(node.exc)))
+            if bad:
+                stray.append((name, where, ast.unparse(node)))
+    assert not stray
